@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import parallel_map
 from .errors import ConstantField, PopulationTooSmall
 from .grid_field import DensityField, check_same_grid, from_probability_minmax, to_probability
 from .ot import DEFAULT_MAX_ITER, SinkhornReport, sinkhorn_barycenter
@@ -120,6 +121,7 @@ def generate_offspring(
     operator: str = "wasserstein",
     stream: int = 0,
     report_sink: list[SinkhornReport] | None = None,
+    workers: int = 1,
 ) -> list[DensityField]:
     """Produce exactly ``n_xo`` offspring from uniformly drawn parent pairs.
 
@@ -127,6 +129,10 @@ def generate_offspring(
     offspring. A ConstantField barycenter triggers one redraw of parents and
     weight; if that also degenerates, the slot falls back to the linear
     operator so the offspring count stays exact.
+
+    Children are bred on ``workers`` threads. Each child's draws come from its
+    own (seed, stream, index) generator, and children and reports are
+    collected in child order, so the result does not depend on ``workers``.
     """
     if operator not in ("wasserstein", "linear"):
         raise ValueError(f"unknown operator {operator!r}")
@@ -136,26 +142,29 @@ def generate_offspring(
         return []
     check_same_grid(*pop)
     dm = pairwise_distances(pop)
-    offspring: list[DensityField] = []
-    for k in range(n_xo):
+
+    def breed(k: int) -> tuple[DensityField, list[SinkhornReport]]:
         rng = _offspring_rng(cfg.rng_seed, stream, k)
-        child = None
+        reports: list[SinkhornReport] = []
         for attempt in range(2):
             i, j = rng.choice(len(pop), size=2, replace=False)
             lam = float(rng.random())
             pair = (pop[i], pop[j])
             if operator == "linear":
-                child = linear_crossover(pair, lam)
-                break
+                return linear_crossover(pair, lam), reports
             eps = adaptive_epsilon(float(dm.d[i, j]), dm, cfg)
             try:
                 child = wasserstein_crossover(
                     pair, lam, eps, cfg.tau, max_iter=cfg.max_iter,
-                    report_sink=report_sink,
+                    report_sink=reports,
                 )
-                break
+                return child, reports
             except ConstantField:
                 if attempt == 1:
-                    child = linear_crossover(pair, lam)
-        offspring.append(child)
-    return offspring
+                    return linear_crossover(pair, lam), reports
+
+    bred = parallel_map(breed, range(n_xo), workers)
+    if report_sink is not None:
+        for _, reports in bred:
+            report_sink.extend(reports)
+    return [child for child, _ in bred]

@@ -285,9 +285,10 @@ def evolve_loop(
         population, union_front = _select(union, cfg.n_pop)
         hv = hypervolume_2d([m.objectives.j for m in population], ref)
         hv_history.append(hv)
-        front_size = sum(
-            1 for r in non_dominated_sort([m.objectives.j for m in population]) if r == 0
-        )
+        # selection keeps whole ranks in order, and each kept member of rank >= 1
+        # is dominated by a kept rank-0 member; when rank 0 overflows, only
+        # rank-0 members survive. So the survivors' front is the union's, capped.
+        front_size = min(union_front, cfg.n_pop)
         selection_seconds = time.perf_counter() - t0
 
         hv0 = hv_history[0]
@@ -305,6 +306,7 @@ def evolve_loop(
         history.append(stats)
         if writer:
             writer.checkpoint(generation, population)
+            writer.record_history(stats)
 
         if check_convergence(hv_history, cfg):
             break
@@ -316,8 +318,11 @@ def evolve_loop(
             cfg.crossover,
             operator=crossover_operator,
             stream=generation,
+            workers=workers,
         )
         stats.crossover_seconds = time.perf_counter() - t0
+        if writer:
+            writer.record_timings(stats)
         pending = []
         for fld in fields:
             pending.append(Member(fld, None, generation + 1, next_id))
@@ -342,6 +347,18 @@ class _RunWriter:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.evals_path = self.dir / "evals.csv"
         self.evals_path.write_text("generation,candidate_id,J1,J2,feasible,eval_seconds\n")
+        # rows are appended as each generation completes, so a crashed run
+        # keeps the history of every finished generation
+        self.history_path = self.dir / "history.csv"
+        self.history_path.write_text(
+            "generation,hv,hv_normalized,front_size,front_union,n_feasible\n"
+        )
+        # wall-clock phases live apart from history.csv so reruns stay
+        # byte-identical on the deterministic artifacts
+        self.timings_path = self.dir / "timings.csv"
+        self.timings_path.write_text(
+            "generation,eval_seconds,crossover_seconds,selection_seconds\n"
+        )
 
     def record_evals(self, generation: int, timed: list[tuple[Member, float]]):
         with self.evals_path.open("a") as fh:
@@ -362,20 +379,21 @@ class _RunWriter:
         for m in members:
             write_field(m.field, cdir / f"member_{m.id:05d}.dfld")
 
+    def record_history(self, s: GenerationStats):
+        with self.history_path.open("a") as fh:
+            fh.write(
+                f"{s.generation},{_fmt(s.hv)},{_fmt(s.hv_normalized)},"
+                f"{s.front_size},{s.front_union},{s.n_feasible}\n"
+            )
+
+    def record_timings(self, s: GenerationStats):
+        with self.timings_path.open("a") as fh:
+            fh.write(
+                f"{s.generation},{s.eval_seconds:.6f},"
+                f"{s.crossover_seconds:.6f},{s.selection_seconds:.6f}\n"
+            )
+
     def finalize(self, history: list[GenerationStats]):
-        with (self.dir / "history.csv").open("w") as fh:
-            fh.write("generation,hv,hv_normalized,front_size,front_union,n_feasible\n")
-            for s in history:
-                fh.write(
-                    f"{s.generation},{_fmt(s.hv)},{_fmt(s.hv_normalized)},"
-                    f"{s.front_size},{s.front_union},{s.n_feasible}\n"
-                )
-        # wall-clock phases live apart from history.csv so reruns stay
-        # byte-identical on the deterministic artifacts
-        with (self.dir / "timings.csv").open("w") as fh:
-            fh.write("generation,eval_seconds,crossover_seconds,selection_seconds\n")
-            for s in history:
-                fh.write(
-                    f"{s.generation},{s.eval_seconds:.6f},"
-                    f"{s.crossover_seconds:.6f},{s.selection_seconds:.6f}\n"
-                )
+        # the last generation breeds no offspring, so its timings row is
+        # complete only once the loop has stopped
+        self.record_timings(history[-1])

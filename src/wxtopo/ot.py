@@ -89,11 +89,17 @@ class KernelApplier:
         return np.kron(self._ky, self._kx)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """K @ x (K is symmetric, so this is also K^T @ x)."""
+        """K @ x (K is symmetric, so this is also K^T @ x).
+
+        ``x`` is one vector or a (k, n) stack of them, one per row. Row i of a
+        stack's result equals ``apply(x[i])`` bit for bit: the convolutional
+        mode runs one (k, ny, nx) matmul stack per axis factor, and each slice
+        is the GEMM a single vector runs.
+        """
         if self._dense is not None:
-            return self._dense @ x
-        mat = x.reshape(self.grid.ny, self.grid.nx)
-        return (self._ky @ mat @ self._kx).ravel()
+            return self._dense @ x if x.ndim == 1 else np.stack([self._dense @ r for r in x])
+        mats = x.reshape(-1, self.grid.ny, self.grid.nx)
+        return np.matmul(np.matmul(self._ky, mats), self._kx).reshape(x.shape)
 
     def apply_cost(self, x: np.ndarray) -> np.ndarray:
         """(K * C) @ x, with C the squared-distance cost C = cx + cy."""
@@ -214,15 +220,6 @@ def sinkhorn_plan(
     return TransportPlan(plan), SinkhornReport(value, iterations, residual, converged)
 
 
-def _geometric_mean(ts: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    # exp(sum_i w_i log t_i); log space avoids overflow when scalings blow up
-    acc = np.zeros_like(ts[0])
-    for w, t in zip(weights, ts):
-        if w != 0.0:
-            acc += w * np.log(t)
-    return np.exp(acc)
-
-
 def sinkhorn_barycenter(
     inputs: list[ProbabilityField],
     weights: list[float],
@@ -239,8 +236,18 @@ def sinkhorn_barycenter(
         v_i <- (prod_j (K^T u_j)^{w_j}) / (K^T u_i),
     and the convergence functional E sums, over cells, the standard deviation
     across inputs of the barycenter-side marginals v_i * (K^T u_i). The sweep
-    order matters: marginals computed mid-sweep see a mix of old and new
-    scalings, which is exactly what makes E a useful stall detector.
+    order matters: v_i sees the new t_j = K^T u_j for j <= i and the previous
+    sweep's t_j for j > i, and marginals computed mid-sweep see that mix of
+    old and new scalings, which is exactly what makes E a useful stall
+    detector.
+
+    The sweep is batched without changing that order. u_i reads only the
+    previous sweep's v_i, so all K v_i form one stacked product, and so do
+    all K^T u_i after them. Only the geometric means run input by input, over
+    log t_j cached whenever t_j changes. Every stacked slice and every
+    elementwise step computes what the input-by-input loop computes, in the
+    same order, so the field, the iteration count and the residual are the
+    same to the bit.
 
     Returns the geometric mean prod_i (K^T u_i)^{w_i}, renormalized to unit
     mass (the raw product is not guaranteed to sum to one).
@@ -256,26 +263,43 @@ def sinkhorn_barycenter(
     kern = kernel if kernel is not None else KernelApplier(grid, epsilon, mode)
 
     n_in = len(inputs)
-    a = [f.masses for f in inputs]
-    u = [np.ones(grid.n) for _ in range(n_in)]
-    v = [np.ones(grid.n) for _ in range(n_in)]
-    t = [kern.apply(u[i]) for i in range(n_in)]
+    active = [i for i in range(n_in) if lam[i] != 0.0]
+    a = np.stack([f.masses for f in inputs])
+    v = np.ones((n_in, grid.n))
+    t = kern.apply(v)
+    # logs stay row by row, so each equals the log of one t_i taken alone
+    log_t = np.empty_like(t)
+    for i in range(n_in):
+        np.log(t[i], out=log_t[i])
+    acc = np.empty(grid.n)
+    term = np.empty(grid.n)
+
+    def geometric_mean() -> np.ndarray:
+        # exp(sum_i w_i log t_i); log space avoids overflow when scalings blow up
+        acc.fill(0.0)
+        for i in active:
+            np.multiply(lam[i], log_t[i], out=term)
+            np.add(acc, term, out=acc)
+        return np.exp(acc, out=acc)
 
     iterations = 0
     residual = np.inf
     converged = False
     for iterations in range(1, max_iter + 1):
+        u = kern.apply(v)
+        np.divide(a, np.maximum(u, _DENOM_FLOOR, out=u), out=u)
+        t = kern.apply(u)
+        np.maximum(t, _DENOM_FLOOR, out=t)
         for i in range(n_in):
-            u[i] = a[i] / _floored(kern.apply(v[i]))
-            t[i] = _floored(kern.apply(u[i]))
-            v[i] = _geometric_mean(t, lam) / t[i]
-        marginals = np.stack([v[i] * t[i] for i in range(n_in)])
+            np.log(t[i], out=log_t[i])
+            np.divide(geometric_mean(), t[i], out=v[i])
+        marginals = np.multiply(v, t, out=u)  # u is spent; reuse its buffer
         residual = float(np.std(marginals, axis=0).sum())
         if residual < tau:
             converged = True
             break
 
-    bary = _geometric_mean(t, lam)
+    bary = geometric_mean()
     total = bary.sum()
     if not np.isfinite(total) or total <= 0:
         bary = np.full(grid.n, 1.0 / grid.n)

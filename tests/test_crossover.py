@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,3 +279,34 @@ class TestGenerateOffspring:
         assert len(kids) == 3
         for kid in kids:
             np.testing.assert_allclose(kid.values, 0.4)
+
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_workers_do_not_change_offspring(self, rng, constant):
+        if constant:
+            # every barycenter collapses and each slot falls back to linear
+            g = GridSpec(8, 8, 1.0, 1.0)
+            pop = [field(g, np.full(g.n, 0.4)), field(g, np.full(g.n, 0.4))]
+            cfg = CrossoverConfig(eps_min=1e20, eps_max=1e20, tau=1e-8, rng_seed=11)
+        else:
+            pop, cfg = self.make_pop(rng), self.cfg()
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often to expose shared state
+        try:
+            for workers in (1, 2, 4):
+                sink = []
+                kids = generate_offspring(
+                    pop, 5, cfg, stream=3, report_sink=sink, workers=workers
+                )
+                runs.append((kids, sink))
+        finally:
+            sys.setswitchinterval(interval)
+        base_kids, base_sink = runs[0]
+        assert len(base_sink) == (10 if constant else 5)
+        for kids, sink in runs[1:]:
+            assert len(kids) == 5
+            for a, b in zip(base_kids, kids):
+                assert np.array_equal(a.values, b.values)
+            assert [r.csv_row() for r in sink] == [r.csv_row() for r in base_sink]
+            for a, b in zip(base_sink, sink):
+                assert np.array_equal(a.value.masses, b.value.masses)

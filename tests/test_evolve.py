@@ -17,7 +17,7 @@ from wxtopo import (
     non_dominated_sort,
 )
 from wxtopo.errors import ExtinctPopulation
-from wxtopo.evolve import crowding_distance, dominates, reference_point
+from wxtopo.evolve import Member, _select, crowding_distance, dominates, reference_point
 from wxtopo.hf_eval import Objectives
 
 
@@ -145,6 +145,22 @@ class TestHypervolume:
         base = hypervolume_2d(pts, ref)
         more = hypervolume_2d(pts + [r.random(2)], ref)
         assert more >= base - 1e-12
+
+
+class TestSelectFrontSize:
+    @given(seed=st.integers(0, 2**31), capacity=st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_capped_union_front_equals_survivor_front(self, seed, capacity):
+        # coarse integer objectives give ties, duplicates and several ranks
+        r = np.random.default_rng(seed)
+        n = int(r.integers(1, 20))
+        members = [
+            Member(None, Objectives(r.integers(0, 5, 2).astype(float), np.zeros(1), True), 0, k)
+            for k in range(n)
+        ]
+        survivors, union_front = _select(members, capacity)
+        ranks = non_dominated_sort([m.objectives.j for m in survivors])
+        assert min(union_front, capacity) == sum(1 for x in ranks if x == 0)
 
 
 class TestReferencePoint:
@@ -324,6 +340,64 @@ class TestEvolveLoop:
         b = evolve_loop(loop_config(), self.seeds, self.evaluate, "linear", workers=4)
         assert [m.id for m in a[0].members] == [m.id for m in b[0].members]
         assert [s.hv for s in a[1]] == [s.hv for s in b[1]]
+
+    def test_front_size_equals_sorted_survivors(self, tmp_path):
+        run = tmp_path / "run"
+        _, history = evolve_loop(
+            loop_config(n_pop=3, t_max=4), self.seeds, self.evaluate, "linear", run_dir=run
+        )
+        assert any(s.front_union > 3 for s in history)  # rank 0 overflows
+        for s in history:
+            with (run / "checkpoints" / f"gen_{s.generation:04d}" / "objectives.csv").open() as fh:
+                objs = [np.array([float(r["J1"]), float(r["J2"])]) for r in csv.DictReader(fh)]
+            assert s.front_size == sum(1 for r in non_dominated_sort(objs) if r == 0)
+
+    def test_wasserstein_workers_do_not_change_run_dir(self, tmp_path):
+        cfg = loop_config(
+            t_max=2,
+            crossover=CrossoverConfig(eps_min=1e-2, eps_max=1e-1, tau=1e-6, max_iter=300),
+        )
+        for workers in (1, 2):
+            evolve_loop(cfg, self.seeds, self.evaluate, "wasserstein",
+                        workers=workers, run_dir=tmp_path / f"w{workers}")
+        one, two = tmp_path / "w1", tmp_path / "w2"
+        assert (one / "history.csv").read_bytes() == (two / "history.csv").read_bytes()
+        files = sorted(p.relative_to(one) for p in (one / "checkpoints").rglob("*") if p.is_file())
+        assert files == sorted(
+            p.relative_to(two) for p in (two / "checkpoints").rglob("*") if p.is_file()
+        )
+        assert any(f.suffix == ".dfld" and "gen_0002" in str(f) for f in files)
+        for f in files:
+            assert (one / f).read_bytes() == (two / f).read_bytes()
+
+        def j_columns(run):
+            with (run / "evals.csv").open() as fh:
+                return [(r["generation"], r["candidate_id"], r["J1"], r["J2"], r["feasible"])
+                        for r in csv.DictReader(fh)]
+
+        assert j_columns(one) == j_columns(two)
+
+    def test_crash_keeps_finished_generations(self, tmp_path):
+        full = tmp_path / "full"
+        evolve_loop(loop_config(t_max=2), self.seeds, self.evaluate, "linear", run_dir=full)
+        calls = []
+
+        def crash_in_generation_one(fld):
+            calls.append(fld)
+            if len(calls) > len(self.seeds):
+                raise RuntimeError("evaluator crashed")
+            return self.evaluate(fld)
+
+        crashed = tmp_path / "crashed"
+        with pytest.raises(RuntimeError, match="evaluator crashed"):
+            evolve_loop(loop_config(t_max=2), self.seeds, crash_in_generation_one,
+                        "linear", run_dir=crashed)
+        history = (crashed / "history.csv").read_text().splitlines()
+        assert history == (full / "history.csv").read_text().splitlines()[:2]
+        timings = (crashed / "timings.csv").read_text().splitlines()
+        assert timings[0] == "generation,eval_seconds,crossover_seconds,selection_seconds"
+        assert [row.split(",")[0] for row in timings[1:]] == ["0"]
+        assert float(timings[1].split(",")[2]) > 0.0  # generation 0 bred offspring
 
     def test_needs_two_seeds(self):
         with pytest.raises(ExtinctPopulation):

@@ -10,7 +10,7 @@ from wxtopo import (
     sinkhorn_distance,
 )
 from wxtopo.errors import BadWeights, GridMismatch, SizeLimit
-from wxtopo.ot import sinkhorn_plan, squared_distance_matrix
+from wxtopo.ot import _floored, sinkhorn_plan, squared_distance_matrix
 
 from conftest import gaussian_field, lp_barycenter
 
@@ -192,6 +192,98 @@ class TestBarycenter:
         assert np.all(out.masses > 0)
         assert np.all(np.isfinite(out.masses))
         assert np.isfinite(rep.final_residual)
+
+
+def reference_barycenter(inputs, weights, epsilon, tau, max_iter):
+    """The barycenter sweep as one input-by-input loop, kept frozen as a reference."""
+    grid = inputs[0].grid
+    lam = np.asarray(weights, dtype=np.float64)
+    kern = KernelApplier(grid, epsilon)
+
+    def geometric_mean(ts):
+        acc = np.zeros_like(ts[0])
+        for w, t in zip(lam, ts):
+            if w != 0.0:
+                acc += w * np.log(t)
+        return np.exp(acc)
+
+    n_in = len(inputs)
+    a = [f.masses for f in inputs]
+    u = [np.ones(grid.n) for _ in range(n_in)]
+    v = [np.ones(grid.n) for _ in range(n_in)]
+    t = [kern.apply(u[i]) for i in range(n_in)]
+    iterations, residual, converged = 0, np.inf, False
+    for iterations in range(1, max_iter + 1):
+        for i in range(n_in):
+            u[i] = a[i] / _floored(kern.apply(v[i]))
+            t[i] = _floored(kern.apply(u[i]))
+            v[i] = geometric_mean(t) / t[i]
+        marginals = np.stack([v[i] * t[i] for i in range(n_in)])
+        residual = float(np.std(marginals, axis=0).sum())
+        if residual < tau:
+            converged = True
+            break
+    bary = geometric_mean(t)
+    bary = bary / bary.sum()
+    s = bary.sum()
+    if abs(s - 1.0) > 1e-13:
+        bary = bary / s
+    return bary, iterations, residual, converged
+
+
+class TestBatchedSweepBitIdentity:
+    """The stacked sweep reproduces the input-by-input loop to the bit."""
+
+    def check(self, inputs, weights, epsilon, tau, max_iter):
+        out, rep = sinkhorn_barycenter(inputs, weights, epsilon, tau, max_iter=max_iter)
+        bary, iterations, residual, converged = reference_barycenter(
+            inputs, weights, epsilon, tau, max_iter
+        )
+        assert np.array_equal(out.masses, bary)
+        assert rep.iterations == iterations
+        assert np.array_equal(rep.final_residual, residual)
+        assert rep.converged == converged
+        return rep
+
+    def blobs(self, g, centers):
+        out = []
+        for cx, cy in centers:
+            f = gaussian_field(g, cx, cy, 2.0)
+            out.append(ProbabilityField(g, f.values / f.values.sum()))
+        return out
+
+    def test_two_inputs(self):
+        g = GridSpec(24, 12, 24.0, 12.0)
+        inputs = self.blobs(g, [(6.0, 6.0), (18.0, 5.0)])
+        rep = self.check(inputs, [0.37, 0.63], epsilon=1.0, tau=1e-14, max_iter=60)
+        assert not rep.converged and rep.iterations == 60
+
+    def test_three_inputs(self, rng):
+        g = GridSpec(16, 20, 16.0, 20.0)
+        inputs = [random_field(g, rng) for _ in range(3)]
+        self.check(inputs, [0.2, 0.5, 0.3], epsilon=2.0, tau=1e-14, max_iter=40)
+
+    def test_zero_weight(self):
+        g = GridSpec(20, 10, 20.0, 10.0)
+        inputs = self.blobs(g, [(5.0, 5.0), (15.0, 4.0)])
+        self.check(inputs, [1.0, 0.0], epsilon=1.0, tau=1e-14, max_iter=30)
+        self.check(inputs, [0.0, 1.0], epsilon=1.0, tau=1e-14, max_iter=30)
+
+    def test_converges_before_max_iter(self):
+        g = GridSpec(12, 12, 12.0, 12.0)
+        inputs = self.blobs(g, [(4.0, 6.0), (8.0, 6.0)])
+        rep = self.check(inputs, [0.5, 0.5], epsilon=4.0, tau=1e-8, max_iter=5000)
+        assert rep.converged and rep.iterations < 5000
+
+    def test_stack_rows_match_single_applies(self, rng):
+        g = GridSpec(14, 9, 1.0, 0.6)
+        xs = rng.random((3, g.n))
+        for mode in ("convolutional", "dense"):
+            kern = KernelApplier(g, 1e-2, mode)
+            stacked = kern.apply(xs)
+            assert stacked.shape == xs.shape
+            for x, row in zip(xs, stacked):
+                assert np.array_equal(kern.apply(x), row)
 
 
 class TestExactLp:
