@@ -89,7 +89,7 @@ def cmd_seed(args) -> int:
     _write_resolved(cfg, out)
     ok = 0
     with manifest.open("w") as fh:
-        fh.write("k,s1,s2,R,V,objective,volume_residual,iterations,error\n")
+        fh.write("k,s1,s2,R,V,objective,volume_residual,iterations,non_improving,error\n")
         for k, res in enumerate(results):
             if res.ok:
                 write_field(res.density, out / f"lf_{k:03d}.dfld")
@@ -97,13 +97,13 @@ def cmd_seed(args) -> int:
                 fh.write(
                     f"{k},{_fmt(res.seed.s1)},{_fmt(res.seed.s2)},{_fmt(res.radius)},"
                     f"{_fmt(res.volume)},{_fmt(obj)},{_fmt(res.constraint_residual)},"
-                    f"{res.iterations},\n"
+                    f"{res.iterations},{int(res.non_improving)},\n"
                 )
                 ok += 1
             else:
                 fh.write(
                     f"{k},{_fmt(res.seed.s1)},{_fmt(res.seed.s2)},{_fmt(res.radius)},"
-                    f"{_fmt(res.volume)},,,0,{res.error}\n"
+                    f"{_fmt(res.volume)},,,0,,{res.error}\n"
                 )
     print(f"seeded {ok}/{len(results)} designs into {out}")
     return EXIT_OK if ok > 0 else EXIT_INTERNAL
@@ -170,6 +170,10 @@ def cmd_morph(args) -> int:
         raise ConfigError(f"bad weight list {args.weights!r}") from exc
     if not weights or any(not 0.0 <= w <= 1.0 for w in weights):
         raise ConfigError("weights must lie in [0, 1]")
+    if not args.epsilon > 0:
+        raise ConfigError(f"--epsilon must be positive, got {args.epsilon!r}")
+    if args.max_iter < 1:
+        raise ConfigError(f"--max-iter must be >= 1, got {args.max_iter}")
     out = Path(args.out)
     targets = [out / f"morph_{i:02d}.dfld" for i in range(len(weights))]
     _check_overwrite(targets + [out / "morph_reports.csv"], args.force)

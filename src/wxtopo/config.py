@@ -88,7 +88,6 @@ class RunConfig:
         return EvolveConfig(
             n_pop=self.evolve_n_pop,
             n_xo=self.evolve_n_xo,
-            n_lf=self.lf_n_s1 * self.lf_n_s2,
             t_max=self.evolve_t_max,
             hv_rel_tol=self.evolve_hv_rel_tol,
             hv_window=self.evolve_hv_window,
@@ -156,9 +155,14 @@ def parse_config_text(text: str, preset: str = "paper2d", source: str = "<config
         attr, typ = _KEYMAP[key]
         kwargs[attr] = _parse_value(key, raw, typ)
     try:
-        return RunConfig(**kwargs)
+        cfg = RunConfig(**kwargs)
+        # the derived objects check their own ranges; building them here
+        # reports an out-of-range value before any command starts work
+        for build in (cfg.grid, cfg.model, cfg.lf_bounds, cfg.hf, cfg.evolve):
+            build()
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{source}: {exc}") from exc
+    return cfg
 
 
 def load_config(path, preset: str = "paper2d") -> RunConfig:

@@ -24,15 +24,18 @@ class CrossoverConfig:
     eps_min: float = 1e-6
     eps_max: float = 1e-4
     tau: float = 1e-9
-    lambda_sampler: str = "uniform01"
     rng_seed: int = 0
     max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
         if not (0 < self.eps_min <= self.eps_max):
             raise ValueError("need 0 < eps_min <= eps_max")
-        if self.lambda_sampler != "uniform01":
-            raise ValueError(f"unknown lambda sampler {self.lambda_sampler!r}")
+        if self.tau < 0:
+            raise ValueError("need tau >= 0")
+        if self.max_iter < 1:
+            # with no sweep the barycenter is the normalized K 1, the same
+            # field whatever the parents
+            raise ValueError("need max_iter >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +89,6 @@ def wasserstein_crossover(
     epsilon: float,
     tau: float,
     max_iter: int = DEFAULT_MAX_ITER,
-    mode: str = "convolutional",
     report_sink: list[SinkhornReport] | None = None,
 ) -> DensityField:
     """Barycentric offspring with weight ``lam`` on the first parent.
@@ -101,7 +103,7 @@ def wasserstein_crossover(
     pa = to_probability(parents[0])
     pb = to_probability(parents[1])
     bary, report = sinkhorn_barycenter(
-        [pa, pb], [lam, 1.0 - lam], epsilon, tau, max_iter=max_iter, mode=mode
+        [pa, pb], [lam, 1.0 - lam], epsilon, tau, max_iter=max_iter
     )
     if report_sink is not None:
         report_sink.append(report)

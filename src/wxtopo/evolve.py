@@ -33,30 +33,24 @@ class Member:
 @dataclass
 class Population:
     members: list[Member]
-    capacity: int
-
-    def objective_matrix(self) -> np.ndarray:
-        return np.array([m.objectives.j for m in self.members])
 
 
 @dataclass(frozen=True)
 class EvolveConfig:
     n_pop: int = 100
     n_xo: int = 100
-    n_lf: int = 100
     t_max: int = 100
     hv_rel_tol: float = 0.0
     hv_window: int = 10
     crossover: CrossoverConfig = field(default_factory=CrossoverConfig)
-    ref_point_policy: str = "initial_worst_plus_10pct_range"
 
     def __post_init__(self):
         if self.n_pop < 2 or self.n_xo < 2:
             raise ValueError("n_pop and n_xo must be >= 2")
         if self.t_max < 0:
             raise ValueError("t_max must be >= 0")
-        if self.ref_point_policy != "initial_worst_plus_10pct_range":
-            raise ValueError(f"unknown reference-point policy {self.ref_point_policy!r}")
+        if self.hv_window < 1:
+            raise ValueError("hv_window must be >= 1")
 
 
 @dataclass
@@ -79,37 +73,23 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
 
 def non_dominated_sort(objs: list[np.ndarray]) -> list[int]:
     """Rank vectors by dominance layers; rank 0 is the Pareto front."""
-    n = len(objs)
-    mat = np.asarray(objs, dtype=np.float64)
-    if n == 0:
+    if len(objs) == 0:
         return []
+    mat = np.asarray(objs, dtype=np.float64)
     if not np.all(np.isfinite(mat)):
         raise ValueError("objective vectors must be finite")
-    dominated_by = [[] for _ in range(n)]
-    n_dominating = np.zeros(n, dtype=int)
-    for p in range(n):
-        less_eq = np.all(mat <= mat[p], axis=1)
-        less = np.any(mat < mat[p], axis=1)
-        dominators = np.where(less_eq & less)[0]
-        n_dominating[p] = dominators.size
-        ge = np.all(mat >= mat[p], axis=1)
-        gt = np.any(mat > mat[p], axis=1)
-        for q in np.where(ge & gt)[0]:
-            dominated_by[p].append(int(q))
-    ranks = np.full(n, -1, dtype=int)
-    current = [int(i) for i in np.where(n_dominating == 0)[0]]
+    a, b = mat[:, None, :], mat[None, :, :]
+    dom = np.all(a <= b, axis=2) & np.any(a < b, axis=2)  # dom[p, q]: p dominates q
+    ranks = np.empty(len(objs), dtype=int)
+    remaining = np.ones(len(objs), dtype=bool)
     rank = 0
-    while current:
-        nxt = []
-        for p in current:
-            ranks[p] = rank
-            for q in dominated_by[p]:
-                n_dominating[q] -= 1
-                if n_dominating[q] == 0:
-                    nxt.append(q)
-        current = nxt
+    while remaining.any():
+        # dominance is a strict partial order, so every layer is non-empty
+        layer = remaining & ~dom[remaining].any(axis=0)
+        ranks[layer] = rank
+        remaining &= ~layer
         rank += 1
-    return [int(r) for r in ranks]
+    return ranks.tolist()
 
 
 def crowding_distance(front: list[np.ndarray]) -> np.ndarray:
@@ -221,10 +201,8 @@ def _dedupe(members: list[Member]) -> list[Member]:
     """Collapse members whose density vectors match exactly; lowest id wins."""
     seen: dict[bytes, Member] = {}
     for m in sorted(members, key=lambda m: m.id):
-        key = m.field.values.tobytes()
-        if key not in seen:
-            seen[key] = m
-    return sorted(seen.values(), key=lambda m: m.id)
+        seen.setdefault(m.field.values.tobytes(), m)
+    return list(seen.values())  # first-seen order is id order
 
 
 def evolve_loop(
@@ -331,7 +309,7 @@ def evolve_loop(
 
     if writer:
         writer.finalize(history)
-    return Population(population, cfg.n_pop), history
+    return Population(population), history
 
 
 def _fmt(x) -> str:

@@ -10,6 +10,7 @@ objective differentiable down to void.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,18 +151,9 @@ class _Discretization:
         return k.tocsc()
 
 
-_DISC_CACHE: dict[tuple, _Discretization] = {}
-
-
+@functools.lru_cache(maxsize=32)
 def _discretization(model: ElasticModel) -> _Discretization:
-    key = (model.grid, model.e0, model.e_min, model.nu, model.penal, model.thickness)
-    disc = _DISC_CACHE.get(key)
-    if disc is None:
-        disc = _Discretization(model)
-        if len(_DISC_CACHE) > 32:
-            _DISC_CACHE.clear()
-        _DISC_CACHE[key] = disc
-    return disc
+    return _Discretization(model)
 
 
 class _Solved:
@@ -332,10 +324,3 @@ def pnorm_sensitivity(
 
 def compliance(bc: BoundaryConditions, u: np.ndarray) -> float:
     return float(bc.loads @ u)
-
-
-def write_stress_csv(sf: StressField, path) -> None:
-    """Stress map in the shared CSV grid layout (ny rows of nx values)."""
-    from .grid_field import write_values_csv
-
-    write_values_csv(sf.grid, sf.sigma_vm, path)

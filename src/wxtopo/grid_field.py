@@ -185,16 +185,11 @@ def read_field(path) -> DensityField:
     return DensityField(grid, values)
 
 
-def write_values_csv(grid: GridSpec, values: np.ndarray, path) -> None:
-    """CSV export: ny rows of nx comma-separated values, row j = height index j."""
-    mat = np.asarray(values, dtype=np.float64).reshape(grid.ny, grid.nx)
-    with open(path, "w") as fh:
-        for row in mat:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def write_field_csv(field: DensityField, path) -> None:
-    write_values_csv(field.grid, field.values, path)
+    """CSV export: ny rows of nx comma-separated values, row j = height index j."""
+    with open(path, "w") as fh:
+        for row in field.as_matrix():
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def resample(field: DensityField, target: GridSpec) -> DensityField:

@@ -8,7 +8,8 @@ gradients are ever computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -103,15 +104,9 @@ def _dirichlet_cells(grid: GridSpec, band: DirichletBand) -> np.ndarray:
     return j * grid.nx + is_
 
 
-_SMOOTH_CACHE: dict[tuple, tuple] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _smoother(grid: GridSpec, cfg: HfConfig):
     """Factorized screened-Poisson operator for this grid and config."""
-    key = (grid, cfg.r_h, cfg.dirichlet_bands)
-    hit = _SMOOTH_CACHE.get(key)
-    if hit is not None:
-        return hit
     n = grid.n
     cx = cfg.r_h**2 / grid.hx**2
     cy = cfg.r_h**2 / grid.hy**2
@@ -123,8 +118,7 @@ def _smoother(grid: GridSpec, cfg: HfConfig):
     rows = [e]
     cols = [e]
     diag = np.ones(n)
-    data = [diag]  # placeholder; diagonal accumulated below
-    diag_acc = np.ones(n)
+    data = [diag]  # the diagonal, accumulated in place below
     for di, dj, coef in ((1, 0, cx), (-1, 0, cx), (0, 1, cy), (0, -1, cy)):
         ni = ig + di
         nj = jg + dj
@@ -134,8 +128,7 @@ def _smoother(grid: GridSpec, cfg: HfConfig):
         rows.append(src)
         cols.append(dst)
         data.append(np.full(src.size, -coef))
-        diag_acc[src] += coef  # missing neighbors drop out: homogeneous Neumann
-    data[0] = diag_acc
+        diag[src] += coef  # missing neighbors drop out: homogeneous Neumann
 
     fixed = np.zeros(n, dtype=bool)
     fixed_val = np.zeros(n)
@@ -157,11 +150,7 @@ def _smoother(grid: GridSpec, cfg: HfConfig):
         factor = spla.splu(mat)
     except RuntimeError as exc:
         raise SolveFailed(str(exc)) from exc
-    out = (factor, fixed, fixed_val)
-    if len(_SMOOTH_CACHE) > 16:
-        _SMOOTH_CACHE.clear()
-    _SMOOTH_CACHE[key] = out
-    return out
+    return factor, fixed, fixed_val
 
 
 def pde_smooth(fld: DensityField, cfg: HfConfig) -> DensityField:
@@ -207,15 +196,7 @@ def hf_evaluate(
         )
     smooth = pde_smooth(candidate, cfg)
     binary = binarize(smooth, cfg)
-    hf_model = ElasticModel(
-        grid=refined_grid,
-        e0=model.e0,
-        e_min=model.e_min,
-        nu=model.nu,
-        penal=model.penal,
-        thickness=model.thickness,
-        q_rel=model.q_rel,
-    )
+    hf_model = replace(model, grid=refined_grid)
     try:
         u = solve_displacement(hf_model, binary, bc)
         sf = von_mises(hf_model, binary, u)

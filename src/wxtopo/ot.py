@@ -29,16 +29,13 @@ _AXIS_FLOOR = 1e-150
 DEFAULT_MAX_ITER = 10_000
 
 
+def _axis_sq_dist(count: int, h: float) -> np.ndarray:
+    idx = np.arange(count, dtype=np.float64)
+    return ((idx[:, None] - idx[None, :]) * h) ** 2
+
+
 def _axis_kernel(count: int, h: float, epsilon: float) -> np.ndarray:
-    idx = np.arange(count, dtype=np.float64)
-    d = (idx[:, None] - idx[None, :]) * h
-    return np.maximum(np.exp(-(d * d) / epsilon), _AXIS_FLOOR)
-
-
-def _axis_cost_kernel(count: int, h: float, epsilon: float) -> np.ndarray:
-    idx = np.arange(count, dtype=np.float64)
-    d2 = ((idx[:, None] - idx[None, :]) * h) ** 2
-    return d2 * _axis_kernel(count, h, epsilon)
+    return np.maximum(np.exp(-_axis_sq_dist(count, h) / epsilon), _AXIS_FLOOR)
 
 
 def squared_distance_matrix(grid: GridSpec) -> np.ndarray:
@@ -64,8 +61,6 @@ class KernelApplier:
     mode: str = "convolutional"
     _kx: np.ndarray = field(init=False, repr=False)
     _ky: np.ndarray = field(init=False, repr=False)
-    _kcx: np.ndarray = field(init=False, repr=False)
-    _kcy: np.ndarray = field(init=False, repr=False)
     _dense: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -76,8 +71,6 @@ class KernelApplier:
         g = self.grid
         object.__setattr__(self, "_kx", _axis_kernel(g.nx, g.hx, self.epsilon))
         object.__setattr__(self, "_ky", _axis_kernel(g.ny, g.hy, self.epsilon))
-        object.__setattr__(self, "_kcx", _axis_cost_kernel(g.nx, g.hx, self.epsilon))
-        object.__setattr__(self, "_kcy", _axis_cost_kernel(g.ny, g.hy, self.epsilon))
         dense = None
         if self.mode == "dense":
             dense = self._build_dense()
@@ -103,11 +96,14 @@ class KernelApplier:
 
     def apply_cost(self, x: np.ndarray) -> np.ndarray:
         """(K * C) @ x, with C the squared-distance cost C = cx + cy."""
+        g = self.grid
+        kcx = _axis_sq_dist(g.nx, g.hx) * self._kx
+        kcy = _axis_sq_dist(g.ny, g.hy) * self._ky
         if self._dense is not None:
-            return (np.kron(self._ky, self._kcx) + np.kron(self._kcy, self._kx)) @ x
-        mat = x.reshape(self.grid.ny, self.grid.nx)
-        part_x = self._ky @ mat @ self._kcx
-        part_y = self._kcy @ mat @ self._kx
+            return (np.kron(self._ky, kcx) + np.kron(kcy, self._kx)) @ x
+        mat = x.reshape(g.ny, g.nx)
+        part_x = self._ky @ mat @ kcx
+        part_y = kcy @ mat @ self._kx
         return (part_x + part_y).ravel()
 
     def dense_matrix(self) -> np.ndarray:
@@ -183,7 +179,6 @@ def sinkhorn_distance(
     tau: float,
     max_iter: int = DEFAULT_MAX_ITER,
     mode: str = "convolutional",
-    kernel: KernelApplier | None = None,
 ) -> SinkhornReport:
     """Entropy-regularized transport cost between two grid measures.
 
@@ -194,7 +189,7 @@ def sinkhorn_distance(
     check_same_grid(a, b)
     if tau <= 0 and max_iter <= 0:
         raise ValueError("need a positive tau or a positive max_iter")
-    kern = kernel if kernel is not None else KernelApplier(a.grid, epsilon, mode)
+    kern = KernelApplier(a.grid, epsilon, mode)
     u, v, iterations, residual, converged = _scaling_loop(
         kern, a.masses, b.masses, tau, max_iter
     )
@@ -227,7 +222,6 @@ def sinkhorn_barycenter(
     tau: float,
     max_iter: int = DEFAULT_MAX_ITER,
     mode: str = "convolutional",
-    kernel: KernelApplier | None = None,
 ) -> tuple[ProbabilityField, SinkhornReport]:
     """Weighted entropic barycenter of two or more grid measures.
 
@@ -260,7 +254,7 @@ def sinkhorn_barycenter(
         raise BadWeights(f"{lam.size} weights for {len(inputs)} inputs")
     if np.any(lam < 0) or abs(lam.sum() - 1.0) > 1e-9:
         raise BadWeights("weights must be nonnegative and sum to 1 within 1e-9")
-    kern = kernel if kernel is not None else KernelApplier(grid, epsilon, mode)
+    kern = KernelApplier(grid, epsilon, mode)
 
     n_in = len(inputs)
     active = [i for i in range(n_in) if lam[i] != 0.0]

@@ -94,7 +94,6 @@ class SeedPoint:
 
     s1: float
     s2: float
-    s3: float | None = None  # reserved for a norm-parameter axis (3D format stability)
 
     def __post_init__(self):
         for name, v in (("s1", self.s1), ("s2", self.s2)):

@@ -1,9 +1,10 @@
+import csv
 import re
 
 import numpy as np
 import pytest
 
-from wxtopo import DensityField, GridSpec, read_field, write_field
+from wxtopo import DensityField, GridSpec, cli, read_field, write_field
 from wxtopo.cli import main
 from wxtopo.config import dump_config, load_config, parse_config_text
 from wxtopo.errors import ConfigError
@@ -72,9 +73,30 @@ class TestConfig:
         cfg = parse_config_text("# comment\n\ngrid.nx = 33  # trailing\n")
         assert cfg.grid_nx == 33
 
+    @pytest.mark.parametrize("line, problem", [
+        ("grid.nx = 1", "at least 2 cells"),
+        ("xo.max_iter = 0", "max_iter >= 1"),
+        ("xo.tau = -1", "tau >= 0"),
+        ("xo.eps_min = -1", "eps_min"),
+        ("evolve.hv_window = -1", "hv_window must be >= 1"),
+    ])
+    def test_out_of_range_value_rejected(self, line, problem):
+        with pytest.raises(ConfigError, match=problem):
+            parse_config_text(line)
+
 
 class TestSeedCommand:
-    def test_smallest_sweep(self, tiny_cfg, tmp_path):
+    def test_smallest_sweep(self, tiny_cfg, tmp_path, monkeypatch):
+        sweep = cli.seed_sweep
+
+        def flag_second(*args, **kwargs):
+            # 20 LF iterations are too few for the stall check, so mark one
+            # run by hand to see both values reach the manifest
+            results = sweep(*args, **kwargs)
+            results[1].non_improving = True
+            return results
+
+        monkeypatch.setattr(cli, "seed_sweep", flag_second)
         out = tmp_path / "seeds"
         code = main(["seed", "--config", str(tiny_cfg), "--out", str(out)])
         assert code == 0
@@ -82,6 +104,11 @@ class TestSeedCommand:
         assert len(fields) == 2
         manifest = (out / "manifest.csv").read_text().splitlines()
         assert len(manifest) == 3
+        assert manifest[0] == (
+            "k,s1,s2,R,V,objective,volume_residual,iterations,non_improving,error"
+        )
+        rows = list(csv.DictReader(manifest))
+        assert [r["non_improving"] for r in rows] == ["0", "1"]
         assert (out / "resolved.cfg").exists()
         fld = read_field(fields[0])
         assert fld.grid == GridSpec(12, 24, 1.0, 2.0)
@@ -92,6 +119,13 @@ class TestSeedCommand:
         code = main(["seed", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert not (tmp_path / "o").exists()  # no writes before validation
+
+    def test_out_of_range_config_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("grid.nx = 1")
+        code = main(["seed", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_overwrite_guard(self, tiny_cfg, tmp_path):
         out = tmp_path / "seeds"
@@ -198,6 +232,17 @@ class TestMorphCommand:
         assert report[0] == "weight,file,iterations,residual,converged"
         assert len(report) == 4
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--epsilon", "0"), ("--epsilon", "-1"), ("--max-iter", "0"),
+    ])
+    def test_out_of_range_option_exits_2(self, tmp_path, flag, value):
+        pa, pb = self.write_blobs(tmp_path)
+        assert main(
+            ["morph", str(pa), str(pb), "--epsilon", "2.0", "--out", str(tmp_path / "m"),
+             flag, value]
+        ) == 2
+        assert not (tmp_path / "m").exists()
+
     def test_grid_mismatch_exits_2(self, tmp_path):
         pa, _ = self.write_blobs(tmp_path)
         g = GridSpec(12, 12, 24.0, 24.0)
@@ -218,6 +263,14 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(tiny_cfg), str(path)]) == 0
         out = capsys.readouterr().out
         assert "J1=" in out and "feasible=1" in out
+
+    def test_out_of_range_config_exits_2(self, tiny_cfg, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(tiny_cfg.read_text() + "xo.eps_min = -1\n")
+        g = GridSpec(12, 24, 1.0, 2.0)
+        path = tmp_path / "solid.dfld"
+        write_field(DensityField(g, np.ones(g.n)), path)
+        assert main(["eval", "--config", str(bad), str(path)]) == 2
 
 
 class TestReportCommand:

@@ -65,8 +65,11 @@ class TestNonDominatedSort:
         assert non_dominated_sort([np.array([1, 1]), np.array([2, 2])]) == [0, 1]
 
     def test_matches_brute_force_on_random_sets(self, rng):
-        for _ in range(10):
-            objs = [rng.random(2) for _ in range(50)]
+        sets = [[rng.random(2) for _ in range(50)] for _ in range(10)]
+        # small integer ranges: many ties and exact duplicates, plus n = 0 and 1
+        for n_obj in (2, 3):
+            sets += [list(rng.integers(0, 4, size=(n, n_obj))) for n in (0, 1, 2, 7, 30, 60)]
+        for objs in sets:
             assert non_dominated_sort(objs) == brute_force_ranks(objs)
 
     def test_duplicates_share_rank(self):
