@@ -20,7 +20,7 @@ from .evolve import EvolveConfig
 from .fem2d import ElasticModel
 from .grid_field import GridSpec
 from .hf_eval import HfConfig
-from .topopt_lf import LfBounds
+from .topopt_lf import LfBounds, check_sweep_settings
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,9 @@ def parse_config_text(text: str, preset: str = "paper2d", source: str = "<config
         # reports an out-of-range value before any command starts work
         for build in (cfg.grid, cfg.model, cfg.lf_bounds, cfg.hf, cfg.evolve):
             build()
+        check_sweep_settings(
+            cfg.model(), cfg.lf_n_s1, cfg.lf_n_s2, cfg.lf_p_norm, cfg.lf_max_iter, cfg.lf_move
+        )
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
     return cfg

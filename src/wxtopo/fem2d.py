@@ -11,6 +11,7 @@ objective differentiable down to void.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,6 +115,17 @@ def _b_matrix(xi: float, eta: float, hx: float, hy: float) -> np.ndarray:
     return b
 
 
+def _element_dofs(nx: int, ny: int) -> np.ndarray:
+    """(nx*ny, 8) dofs of each element, counter-clockwise from its lower-left node."""
+    n1 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)[None, :]).ravel()
+    n2 = n1 + 1
+    n3 = n2 + (nx + 1)
+    n4 = n1 + (nx + 1)
+    return np.column_stack(
+        [2 * n1, 2 * n1 + 1, 2 * n2, 2 * n2 + 1, 2 * n3, 2 * n3 + 1, 2 * n4, 2 * n4 + 1]
+    )
+
+
 class _Discretization:
     """Per-grid element matrices and assembly indexing, computed once."""
 
@@ -131,29 +143,129 @@ class _Discretization:
         self.b_centroid = _b_matrix(0.0, 0.0, g.hx, g.hy)
         self.d_solid = d_unit * model.e0
 
-        cols = np.arange(g.nx)
-        rows = np.arange(g.ny)
-        n1 = (rows[:, None] * (g.nx + 1) + cols[None, :]).ravel()
-        n2 = n1 + 1
-        n3 = n2 + (g.nx + 1)
-        n4 = n1 + (g.nx + 1)
-        self.edof = np.column_stack(
-            [2 * n1, 2 * n1 + 1, 2 * n2, 2 * n2 + 1, 2 * n3, 2 * n3 + 1, 2 * n4, 2 * n4 + 1]
-        )
+        self.edof = _element_dofs(g.nx, g.ny)
         self.ndof = 2 * (g.nx + 1) * (g.ny + 1)
-        self.i_idx = np.repeat(self.edof, 8, axis=1).ravel()
-        self.j_idx = np.tile(self.edof, (1, 8)).ravel()
-
-    def stiffness(self, density: np.ndarray) -> sp.csc_matrix:
-        e_mod = self.model.simp(density)
-        vals = (e_mod[:, None] * self.ke_unit.ravel()[None, :]).ravel()
-        k = sp.coo_matrix((vals, (self.i_idx, self.j_idx)), shape=(self.ndof, self.ndof))
-        return k.tocsc()
 
 
 @functools.lru_cache(maxsize=32)
 def _discretization(model: ElasticModel) -> _Discretization:
     return _Discretization(model)
+
+
+def _nested_dissection(nx: int, ny: int) -> np.ndarray:
+    """Node ids of the (nx+1)-by-(ny+1) lattice in geometric nested-dissection order.
+
+    A box of nodes is split across its longer side at the middle node line;
+    both halves are ordered recursively and the separating line goes last.
+    Q4 elements couple only neighbouring node lines, so eliminating one half
+    never fills into the other (George, SIAM J. Numer. Anal. 10, 1973).
+    """
+    nnx = nx + 1
+    parts = []
+
+    def order(i0: int, i1: int, j0: int, j1: int):  # half-open node ranges
+        w, h = i1 - i0, j1 - j0
+        if w <= 0 or h <= 0:
+            return
+        if max(w, h) <= 2:
+            parts.append((np.arange(j0, j1)[:, None] * nnx + np.arange(i0, i1)).ravel())
+        elif w >= h:
+            m = i0 + w // 2
+            order(i0, m, j0, j1)
+            order(m + 1, i1, j0, j1)
+            parts.append(np.arange(j0, j1) * nnx + m)
+        else:
+            m = j0 + h // 2
+            order(i0, i1, j0, m)
+            order(i0, i1, m + 1, j1)
+            parts.append(m * nnx + np.arange(i0, i1))
+
+    order(0, nnx, 0, ny + 1)
+    return np.concatenate(parts)
+
+
+class _ReducedSystem:
+    """Assembly indices of the free-dof stiffness matrix and its factor ordering.
+
+    Fixed per grid and constrained-dof set. ``assemble`` builds the reduced
+    matrix in natural free-dof order straight from the element matrices;
+    ``permuted`` gathers its values into the nested-dissection ordered copy
+    that SuperLU factors without reordering. ``perm[q]`` is the natural index
+    of permuted unknown q.
+    """
+
+    def __init__(self, nx: int, ny: int, constrained: np.ndarray):
+        ndof = 2 * (nx + 1) * (ny + 1)
+        self.free = np.setdiff1d(np.arange(ndof), constrained)
+        n = self.n = self.free.size
+        reduced = np.full(ndof, -1, dtype=np.int32)
+        reduced[self.free] = np.arange(n, dtype=np.int32)
+
+        local = reduced[_element_dofs(nx, ny)]
+        rows = np.repeat(local, 8, axis=1).ravel()
+        cols = np.tile(local, (1, 8)).ravel()
+        self.keep = (rows >= 0) & (cols >= 0)
+        self.rows = rows[self.keep]
+        del rows
+        self.cols = cols[self.keep]
+        del cols, local
+
+        nodes = _nested_dissection(nx, ny)
+        ordered = reduced[np.column_stack([2 * nodes, 2 * nodes + 1]).ravel()]
+        self.perm = ordered[ordered >= 0]
+        inv = np.empty(n, dtype=np.int32)
+        inv[self.perm] = np.arange(n, dtype=np.int32)
+
+        # gather map of the permuted copy: entry (r, c) of the natural CSC
+        # moves to (inv[r], inv[c]) and carries its position there
+        pattern = self._csc(np.ones(self.rows.size))
+        moved = sp.csc_matrix(
+            (
+                np.arange(pattern.nnz, dtype=np.float64),
+                (inv[pattern.indices], np.repeat(inv, np.diff(pattern.indptr))),
+            ),
+            shape=(n, n),
+        )
+        del pattern
+        self.gather = moved.data.astype(np.int32)
+        self.p_indices = moved.indices
+        self.p_indptr = moved.indptr
+        # cached and shared by every later solve (the index arrays by every
+        # permuted copy), so nothing may change them in place
+        for arr in (self.free, self.rows, self.cols, self.keep, self.perm, self.gather,
+                    self.p_indices, self.p_indptr):
+            arr.flags.writeable = False
+
+    def _csc(self, vals: np.ndarray) -> sp.csc_matrix:
+        return sp.csc_matrix((vals, (self.rows, self.cols)), shape=(self.n, self.n))
+
+    def assemble(self, disc: _Discretization, density: np.ndarray) -> sp.csc_matrix:
+        e_mod = disc.model.simp(density)
+        return self._csc(np.multiply.outer(e_mod, disc.ke_unit.ravel()).ravel()[self.keep])
+
+    def permuted(self, k_ff: sp.csc_matrix) -> sp.csc_matrix:
+        # k_ff comes from ``assemble``, whose CSC layout depends only on the
+        # fixed rows and cols, so the gather built from the pattern applies
+        return sp.csc_matrix(
+            (k_ff.data[self.gather], self.p_indices, self.p_indptr), shape=(self.n, self.n)
+        )
+
+
+@functools.lru_cache(maxsize=8)
+def _reduced_system_cached(nx: int, ny: int, constrained: bytes) -> _ReducedSystem:
+    return _ReducedSystem(nx, ny, np.frombuffer(constrained, dtype=np.int64))
+
+
+_REDUCED_LOCK = threading.Lock()
+
+
+def _reduced_system(grid: GridSpec, constrained: np.ndarray) -> _ReducedSystem:
+    # the lock keeps concurrent pool threads from each building the same
+    # entry, whose transient is as large as one assembly
+    with _REDUCED_LOCK:
+        return _reduced_system_cached(
+            grid.nx, grid.ny, np.asarray(constrained, dtype=np.int64).tobytes()
+        )
 
 
 class _Solved:
@@ -163,20 +275,19 @@ class _Solved:
         if density.grid != model.grid or bc.grid != model.grid:
             raise GridMismatch("model, density and boundary conditions must share a grid")
         disc = _discretization(model)
-        constrained = bc.all_constrained
-        free = np.setdiff1d(np.arange(disc.ndof), constrained)
-        if free.size == disc.ndof:
+        system = _reduced_system(model.grid, bc.all_constrained)
+        if system.n == disc.ndof:
             raise SingularSystem("no constrained dofs; rigid modes present")
-        k_full = disc.stiffness(density.values)
-        k_ff = k_full[np.ix_(free, free)]
-        f_f = bc.loads[free]
+        k_ff = system.assemble(disc, density.values)
+        f_f = bc.loads[system.free]
+        self.system = system
         try:
-            factor = spla.splu(
-                k_ff.tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
+            self.factor = spla.splu(
+                system.permuted(k_ff),
+                permc_spec="NATURAL",
                 options={"SymmetricMode": True},
             )
-            u_f = factor.solve(f_f)
+            u_f = self._solve(f_f)
         except RuntimeError as exc:
             raise SingularSystem(str(exc)) from exc
         if not np.all(np.isfinite(u_f)):
@@ -184,21 +295,27 @@ class _Solved:
         f_norm = np.linalg.norm(f_f)
         if f_norm > 0:
             # one refinement step keeps the residual near machine precision,
-            # which adjoint-vs-finite-difference checks rely on
-            u_f = u_f + factor.solve(f_f - k_ff @ u_f)
+            # which adjoint-vs-finite-difference checks rely on; the residual
+            # is summed in natural order, not in the factor's
+            u_f = u_f + self._solve(f_f - k_ff @ u_f)
             resid = np.linalg.norm(k_ff @ u_f - f_f) / f_norm
             if not np.isfinite(resid) or resid > 1e-10:
                 raise SingularSystem(f"relative residual {resid:.3e} exceeds 1e-10")
         u = np.zeros(disc.ndof)
-        u[free] = u_f
+        u[system.free] = u_f
         self.disc = disc
-        self.free = free
-        self.factor = factor
         self.u = u
 
+    def _solve(self, rhs_f: np.ndarray) -> np.ndarray:
+        perm = self.system.perm
+        out = np.empty_like(rhs_f)
+        out[perm] = self.factor.solve(rhs_f[perm])
+        return out
+
     def adjoint(self, rhs: np.ndarray) -> np.ndarray:
+        free = self.system.free
         psi = np.zeros(self.disc.ndof)
-        psi[self.free] = self.factor.solve(rhs[self.free])
+        psi[free] = self._solve(rhs[free])
         return psi
 
 

@@ -217,10 +217,11 @@ def resample(field: DensityField, target: GridSpec) -> DensityField:
     tx = fx - ix0
     ty = fy - iy0
     mat = field.as_matrix()
-    m00 = mat[np.ix_(iy0, ix0)]
-    m01 = mat[np.ix_(iy0, ix0 + 1)]
-    m10 = mat[np.ix_(iy0 + 1, ix0)]
-    m11 = mat[np.ix_(iy0 + 1, ix0 + 1)]
+    rows = iy0[:, None]
+    m00 = mat[rows, ix0]
+    m01 = mat[rows, ix0 + 1]
+    m10 = mat[rows + 1, ix0]
+    m11 = mat[rows + 1, ix0 + 1]
     wx = tx[None, :]
     wy = ty[:, None]
     out = (

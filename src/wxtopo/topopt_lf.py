@@ -110,6 +110,12 @@ class LfBounds:
     v_min: float = 0.30
     v_max: float = 0.60
 
+    def __post_init__(self):
+        if not 0.0 < self.r_min <= self.r_max:
+            raise ValueError("need 0 < r_min <= r_max")
+        if not 0.0 < self.v_min <= self.v_max <= 1.0:
+            raise ValueError("need 0 < v_min <= v_max <= 1")
+
     def radius(self, seed: SeedPoint) -> float:
         return self.r_min + seed.s1 * (self.r_max - self.r_min)
 
@@ -299,6 +305,22 @@ def lf_optimize(
     )
 
 
+def check_sweep_settings(
+    model: ElasticModel, n_s1: int, n_s2: int, p_norm: float, max_iter: int, move: float
+) -> None:
+    """Raise ValueError for sweep settings on which every run would fail."""
+    if n_s1 < 1 or n_s2 < 1:
+        raise ValueError("need at least one division per seed axis (n_s1, n_s2 >= 1)")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if move <= 0:
+        raise ValueError("move limit must be positive")
+    if p_norm < 1:
+        raise ValueError("p_norm must be >= 1")
+    if model.q_rel * p_norm <= 1.0:
+        raise ValueError("need q_rel * p_norm > 1 for a bounded void gradient")
+
+
 def seed_grid(n_s1: int, n_s2: int) -> list[SeedPoint]:
     """Uniform seed lattice over [0,1]^2, s1-major; a single division sits at 0."""
     s1s = np.linspace(0.0, 1.0, n_s1) if n_s1 > 1 else np.array([0.0])
@@ -319,11 +341,11 @@ def seed_sweep(
 ) -> list[LfResult]:
     """Run n_s1 * n_s2 independent optimizations over the seed lattice.
 
-    A failed run is returned as a flagged placeholder rather than aborting
-    the sweep; callers exclude those from the population.
+    Settings on which every run would fail raise ValueError up front. A
+    failed run is returned as a flagged placeholder rather than aborting the
+    sweep; callers exclude those from the population.
     """
-    if n_s1 < 1 or n_s2 < 1:
-        raise ValueError("need at least one division per seed axis")
+    check_sweep_settings(model, n_s1, n_s2, p_norm, max_iter, move)
     seeds = seed_grid(n_s1, n_s2)
 
     def run(seed: SeedPoint) -> LfResult:

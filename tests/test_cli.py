@@ -79,6 +79,15 @@ class TestConfig:
         ("xo.tau = -1", "tau >= 0"),
         ("xo.eps_min = -1", "eps_min"),
         ("evolve.hv_window = -1", "hv_window must be >= 1"),
+        ("lf.n_s1 = 0", "seed axis"),
+        ("lf.n_s2 = -3", "seed axis"),
+        ("lf.max_iter = 0", "max_iter must be >= 1"),
+        ("lf.move = 0", "move limit"),
+        ("lf.p_norm = 2", r"q_rel \* p_norm > 1"),
+        ("fem.q_rel = 0.1", r"q_rel \* p_norm > 1"),
+        ("lf.p_norm = 0.5\nfem.q_rel = 4", "p_norm must be >= 1"),
+        ("lf.r_min = 0", "r_min"),
+        ("lf.v_max = 1.5", "v_max <= 1"),
     ])
     def test_out_of_range_value_rejected(self, line, problem):
         with pytest.raises(ConfigError, match=problem):
@@ -122,10 +131,12 @@ class TestSeedCommand:
 
     def test_out_of_range_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("grid.nx = 1")
-        code = main(["seed", "--config", str(bad), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert not (tmp_path / "o").exists()
+        for line in ("grid.nx = 1", "lf.n_s1 = 0", "lf.max_iter = 0", "lf.move = -0.1",
+                     "lf.p_norm = 1.5"):
+            bad.write_text(line)
+            code = main(["seed", "--config", str(bad), "--out", str(tmp_path / "o")])
+            assert code == 2, line
+            assert not (tmp_path / "o").exists(), line
 
     def test_overwrite_guard(self, tiny_cfg, tmp_path):
         out = tmp_path / "seeds"

@@ -1,5 +1,11 @@
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from wxtopo import (
     DensityField,
@@ -12,6 +18,7 @@ from wxtopo import (
     solve_displacement,
     von_mises,
 )
+from wxtopo import benchmark, fem2d
 from wxtopo.errors import EmptySolidSet, GridMismatch
 from wxtopo.fem2d import compliance, pnorm_objective_grad
 
@@ -210,3 +217,112 @@ class TestPnormSensitivity:
             xm[e] -= h
             fd = (vol(xp) - vol(xm)) / (2 * h)
             assert fd == pytest.approx(cell_v / total, rel=1e-6)
+
+
+def constrained_dofs(nx, ny, rollers):
+    """Cracked-plate constraints (rollers and pin), or a clamped left edge, on any lattice."""
+    left = np.arange(ny + 1) * (nx + 1)
+    if rollers:
+        return np.union1d(2 * left[: ny // 2 + 1], [1])
+    return np.concatenate([2 * left, 2 * left + 1])
+
+
+def natural_reduced(model, density, bc):
+    """Free-dof stiffness the direct way: full COO assembly, CSC, then the free block."""
+    disc = fem2d._discretization(model)
+    vals = (model.simp(density.values)[:, None] * disc.ke_unit.ravel()[None, :]).ravel()
+    rows = np.repeat(disc.edof, 8, axis=1).ravel()
+    cols = np.tile(disc.edof, (1, 8)).ravel()
+    k_full = sp.coo_matrix((vals, (rows, cols)), shape=(disc.ndof, disc.ndof)).tocsc()
+    free = np.setdiff1d(np.arange(disc.ndof), bc.all_constrained)
+    return k_full[np.ix_(free, free)].tocsc(), free
+
+
+GRIDS = [(1, 1), (1, 7), (7, 1), (2, 3), (5, 7), (50, 100)]
+# GridSpec needs two cells per axis, so the solves run on the thinnest grids
+# it allows; with a single cell row the cracked-plate rollers hold one node
+# and leave a rigid rotation
+SOLVE_GRIDS = [(2, 2), (2, 7), (7, 2), (2, 3), (5, 7), (50, 100)]
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("nx,ny", GRIDS)
+    @pytest.mark.parametrize("rollers", [True, False])
+    def test_visits_every_free_dof_once(self, nx, ny, rollers):
+        nodes = fem2d._nested_dissection(nx, ny)
+        np.testing.assert_array_equal(np.sort(nodes), np.arange((nx + 1) * (ny + 1)))
+        system = fem2d._ReducedSystem(nx, ny, constrained_dofs(nx, ny, rollers))
+        assert system.n == 2 * nodes.size - constrained_dofs(nx, ny, rollers).size
+        np.testing.assert_array_equal(np.sort(system.perm), np.arange(system.n))
+
+    def test_separator_goes_last(self):
+        # 51 x 101 nodes: the top-level separator is the middle node row
+        nodes = fem2d._nested_dissection(50, 100)
+        np.testing.assert_array_equal(nodes[-51:], 50 * 51 + np.arange(51))
+
+    @pytest.mark.parametrize("nx,ny", SOLVE_GRIDS)
+    @pytest.mark.parametrize("rollers", [True, False])
+    def test_solve_matches_natural_spsolve(self, nx, ny, rollers, rng):
+        g = GridSpec(nx, ny, 1.0, 2.0)
+        model = ElasticModel(grid=g)
+        bc = benchmark.cracked_plate_bc(g) if rollers else cantilever_bc(g)
+        density = DensityField(g, rng.uniform(0.2, 1.0, g.n))
+        k_ff, free = natural_reduced(model, density, bc)
+        expected = spla.spsolve(k_ff, bc.loads[free])
+        u = solve_displacement(model, density, bc)
+        assert np.linalg.norm(u[free] - expected) <= 1e-9 * np.linalg.norm(expected)
+        assert np.all(u[bc.all_constrained] == 0.0)
+
+    def test_concurrent_callers_build_once(self, monkeypatch):
+        fem2d._reduced_system_cached.cache_clear()
+        built = []
+        init = fem2d._ReducedSystem.__init__
+
+        def slow_init(self, *args):
+            built.append(args[:2])
+            time.sleep(0.05)  # widen the window in which a second caller could miss
+            init(self, *args)
+
+        monkeypatch.setattr(fem2d._ReducedSystem, "__init__", slow_init)
+        g = GridSpec(6, 4, 1.0, 1.0)
+        bc = patch_bc(g)
+        start = threading.Barrier(2)
+
+        def lookup(_):
+            start.wait()
+            return fem2d._reduced_system(g, bc.all_constrained)
+
+        with ThreadPoolExecutor(2) as pool:
+            first, second = pool.map(lookup, range(2))
+        assert first is second
+        assert built == [(6, 4)]
+
+
+class TestReducedAssembly:
+    def test_matches_full_assembly_then_free_block(self, rng):
+        g = GridSpec(7, 10, 1.0, 2.0)
+        model = ElasticModel(grid=g)
+        bc = benchmark.cracked_plate_bc(g)
+        density = DensityField(g, rng.uniform(0.0, 1.0, g.n))
+        expected, free = natural_reduced(model, density, bc)
+        system = fem2d._reduced_system(g, bc.all_constrained)
+        k_ff = system.assemble(fem2d._discretization(model), density.values)
+        np.testing.assert_array_equal(system.free, free)
+        expected.sort_indices()
+        k_ff.sort_indices()
+        np.testing.assert_array_equal(k_ff.indptr, expected.indptr)
+        np.testing.assert_array_equal(k_ff.indices, expected.indices)
+        scale = np.abs(expected.data).max()
+        assert np.abs(k_ff.data - expected.data).max() <= 1e-15 * scale
+
+    def test_nested_dissection_fills_less_than_mmd(self):
+        # guards the ordering: the 100x200 cracked plate of a uniform 0.5
+        # design must factor with fewer stored entries than SuperLU's MMD
+        g = GridSpec(100, 200, 1.0, 2.0)
+        model = benchmark.default_model(g)
+        bc = benchmark.cracked_plate_bc(g)
+        density = DensityField(g, np.full(g.n, 0.5))
+        nd_nnz = fem2d._Solved(model, density, bc).factor.nnz
+        k_ff, _ = natural_reduced(model, density, bc)
+        mmd = spla.splu(k_ff, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        assert nd_nnz < mmd.nnz
