@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fem2d import BoundaryConditions, ElasticModel
+from .fem2d import BoundaryConditions
 from .grid_field import GridSpec
-from .hf_eval import DirichletBand, HfConfig
+from .hf_eval import DirichletBand
 
 
-def cracked_plate_bc(grid: GridSpec, traction: float = 1.0) -> BoundaryConditions:
+def cracked_plate_bc(grid: GridSpec) -> BoundaryConditions:
     """Boundary conditions of the cracked-plate problem realized on ``grid``."""
     nnx = grid.nx + 1
     node_ys = np.arange(grid.ny + 1) * grid.hy
@@ -30,7 +30,7 @@ def cracked_plate_bc(grid: GridSpec, traction: float = 1.0) -> BoundaryCondition
 
     loads = np.zeros(2 * nnx * (grid.ny + 1))
     right = np.arange(grid.ny + 1) * nnx + grid.nx
-    nodal = traction * grid.hy
+    nodal = grid.hy  # unit traction
     loads[2 * right] = nodal
     loads[2 * right[0]] = nodal / 2.0
     loads[2 * right[-1]] = nodal / 2.0
@@ -42,21 +42,4 @@ def cracked_plate_bands(grid: GridSpec) -> tuple[DirichletBand, ...]:
     return (
         DirichletBand("right", 0.0, grid.ly, 1.0),
         DirichletBand("left", 0.0, grid.ly / 2.0, 1.0),
-    )
-
-
-def default_model(grid: GridSpec, e0: float = 1.0, e_min: float = 1e-6,
-                  nu: float = 0.3, penal: float = 3.0, thickness: float = 1.0,
-                  q_rel: float = 0.5) -> ElasticModel:
-    return ElasticModel(grid=grid, e0=e0, e_min=e_min, nu=nu, penal=penal,
-                        thickness=thickness, q_rel=q_rel)
-
-
-def hf_config(grid: GridSpec, r_h: float = 0.01, refine_factor: int = 2,
-              threshold: float = 0.5) -> HfConfig:
-    return HfConfig(
-        r_h=r_h,
-        refine_factor=refine_factor,
-        threshold=threshold,
-        dirichlet_bands=cracked_plate_bands(grid),
     )

@@ -14,14 +14,8 @@ from pathlib import Path
 from . import benchmark
 from .config import PRESETS, RunConfig, dump_config, load_config
 from .crossover import wasserstein_crossover
-from .errors import (
-    ConfigError,
-    ExtinctPopulation,
-    GridMismatch,
-    MissingHistory,
-    WxTopoError,
-)
-from .evolve import evolve_loop
+from .errors import ConfigError, ExtinctPopulation, GridMismatch, WxTopoError
+from .evolve import _fmt, evolve_loop
 from .grid_field import read_field, write_field
 from .hf_eval import hf_evaluate
 from .report import render_report
@@ -32,10 +26,6 @@ EXIT_CONFIG = 2
 EXIT_OVERWRITE = 3
 EXIT_EXTINCT = 4
 EXIT_INTERNAL = 5
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 class _OverwriteGuard(Exception):
@@ -271,9 +261,6 @@ def main(argv=None) -> int:
     except ExtinctPopulation as exc:
         print(f"error: every candidate became infeasible: {exc}", file=sys.stderr)
         return EXIT_EXTINCT
-    except (ConfigError, GridMismatch, MissingHistory) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except WxTopoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .benchmark import default_model, hf_config
+from .benchmark import cracked_plate_bands
 from .crossover import CrossoverConfig
 from .errors import ConfigError
 from .evolve import EvolveConfig
@@ -64,16 +64,19 @@ class RunConfig:
         return GridSpec(self.grid_nx, self.grid_ny, self.grid_lx, self.grid_ly)
 
     def model(self) -> ElasticModel:
-        return default_model(
-            self.grid(), self.fem_e0, self.fem_e_min, self.fem_nu,
-            self.fem_penal, self.fem_thickness, self.fem_q_rel,
+        return ElasticModel(
+            grid=self.grid(), e0=self.fem_e0, e_min=self.fem_e_min, nu=self.fem_nu,
+            penal=self.fem_penal, thickness=self.fem_thickness, q_rel=self.fem_q_rel,
         )
 
     def lf_bounds(self) -> LfBounds:
         return LfBounds(self.lf_r_min, self.lf_r_max, self.lf_v_min, self.lf_v_max)
 
     def hf(self) -> HfConfig:
-        return hf_config(self.grid(), self.hf_r_h, self.hf_refine_factor, self.hf_threshold)
+        return HfConfig(
+            r_h=self.hf_r_h, refine_factor=self.hf_refine_factor, threshold=self.hf_threshold,
+            dirichlet_bands=cracked_plate_bands(self.grid()),
+        )
 
     def crossover(self) -> CrossoverConfig:
         return CrossoverConfig(

@@ -14,7 +14,7 @@ class ConstantField(WxTopoError):
 
 
 class FormatError(WxTopoError):
-    """Field file violates the DFLD1 format or its value invariants."""
+    """Field file is unreadable or violates the DFLD1 format or its value invariants."""
 
 
 class ExtentMismatch(WxTopoError):
@@ -38,7 +38,7 @@ class PopulationTooSmall(WxTopoError):
 
 
 class SingularSystem(WxTopoError):
-    """Sparse factorization or solve failed, or residual is unacceptable."""
+    """Sparse factorization or solve failed, or its backward error is unacceptable."""
 
 
 class EmptySolidSet(WxTopoError):

@@ -163,8 +163,8 @@ def read_field(path) -> DensityField:
     """Read a DFLD1 file: magic, LE u32 nx/ny, LE f64 lx/ly, nx*ny LE f64 values."""
     try:
         raw = Path(path).read_bytes()
-    except OSError:
-        raise
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror}") from exc
     if len(raw) < len(_MAGIC) + 8 + 16:
         raise FormatError(f"{path}: truncated header")
     if raw[: len(_MAGIC)] != _MAGIC:

@@ -67,28 +67,18 @@ class HfConfig:
 
 @dataclass(frozen=True, eq=False)
 class Objectives:
-    """Objective vector, constraint vector and the derived feasibility flag."""
+    """Objective vector and feasibility flag of one evaluated candidate."""
 
     j: np.ndarray
-    g: np.ndarray
     feasible: bool
 
     def __post_init__(self):
-        j = np.asarray(self.j, dtype=np.float64).ravel()
-        g = np.asarray(self.g, dtype=np.float64).ravel()
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "g", g)
-        if self.feasible != bool(np.all(g <= 0.0)):
-            raise ValueError("feasible flag must mirror the constraint signs")
-
-
-def feasible_objectives(j_values) -> Objectives:
-    return Objectives(np.asarray(j_values, dtype=np.float64), np.empty(0), True)
+        object.__setattr__(self, "j", np.asarray(self.j, dtype=np.float64).ravel())
 
 
 def infeasible_sentinel(n_obj: int = 2) -> Objectives:
-    """Structurally broken candidate: +inf objectives, one violated constraint."""
-    return Objectives(np.full(n_obj, INFEASIBLE_SENTINEL), np.array([1.0]), False)
+    """Structurally broken candidate: +inf objectives, flagged infeasible."""
+    return Objectives(np.full(n_obj, INFEASIBLE_SENTINEL), False)
 
 
 def _dirichlet_cells(grid: GridSpec, band: DirichletBand) -> np.ndarray:
@@ -204,4 +194,4 @@ def hf_evaluate(
     except (EmptySolidSet, SingularSystem):
         return infeasible_sentinel()
     j2 = float(binary.values.mean())
-    return feasible_objectives([j1, j2])
+    return Objectives([j1, j2], True)

@@ -264,6 +264,16 @@ class TestMorphCommand:
              "--out", str(tmp_path / "m")]
         ) == 2
 
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        pa, _ = self.write_blobs(tmp_path)
+        missing = tmp_path / "absent.dfld"
+        assert main(
+            ["morph", str(pa), str(missing), "--epsilon", "2.0", "--out", str(tmp_path / "m")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and "Traceback" not in err
+        assert not (tmp_path / "m").exists()
+
 
 class TestEvalCommand:
     def test_prints_objectives(self, tiny_cfg, tmp_path, capsys):
@@ -282,6 +292,12 @@ class TestEvalCommand:
         path = tmp_path / "solid.dfld"
         write_field(DensityField(g, np.ones(g.n)), path)
         assert main(["eval", "--config", str(bad), str(path)]) == 2
+
+    def test_missing_field_exits_2(self, tiny_cfg, tmp_path, capsys):
+        missing = tmp_path / "absent.dfld"
+        assert main(["eval", "--config", str(tiny_cfg), str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and "Traceback" not in err
 
 
 class TestReportCommand:

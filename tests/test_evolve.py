@@ -158,7 +158,7 @@ class TestSelectFrontSize:
         r = np.random.default_rng(seed)
         n = int(r.integers(1, 20))
         members = [
-            Member(None, Objectives(r.integers(0, 5, 2).astype(float), np.zeros(1), True), 0, k)
+            Member(None, Objectives(r.integers(0, 5, 2).astype(float), True), 0, k)
             for k in range(n)
         ]
         survivors, union_front = _select(members, capacity)
@@ -207,9 +207,7 @@ def analytic_evaluator(target, min_mean=0.05):
     def evaluate(field):
         mean = float(field.values.mean())
         misfit = float(np.mean((field.values - target) ** 2))
-        return Objectives(
-            np.array([mean, misfit]), np.array([min_mean - mean]), mean >= min_mean
-        )
+        return Objectives(np.array([mean, misfit]), mean >= min_mean)
 
     return evaluate
 
@@ -268,7 +266,7 @@ class TestEvolveLoop:
 
     def test_extinct_population(self):
         def nothing_survives(field):
-            return Objectives(np.array([1.0, 1.0]), np.array([1.0]), False)
+            return Objectives(np.array([1.0, 1.0]), False)
 
         with pytest.raises(ExtinctPopulation):
             evolve_loop(loop_config(), self.seeds, nothing_survives, "linear")

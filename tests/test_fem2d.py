@@ -19,7 +19,7 @@ from wxtopo import (
     von_mises,
 )
 from wxtopo import benchmark, fem2d
-from wxtopo.errors import EmptySolidSet, GridMismatch
+from wxtopo.errors import EmptySolidSet, GridMismatch, SingularSystem
 from wxtopo.fem2d import compliance, pnorm_objective_grad
 
 from conftest import cantilever_bc, patch_bc, symmetric_patch_bc
@@ -319,10 +319,62 @@ class TestReducedAssembly:
         # guards the ordering: the 100x200 cracked plate of a uniform 0.5
         # design must factor with fewer stored entries than SuperLU's MMD
         g = GridSpec(100, 200, 1.0, 2.0)
-        model = benchmark.default_model(g)
+        model = ElasticModel(grid=g)
         bc = benchmark.cracked_plate_bc(g)
         density = DensityField(g, np.full(g.n, 0.5))
         nd_nnz = fem2d._Solved(model, density, bc).factor.nnz
         k_ff, _ = natural_reduced(model, density, bc)
         mmd = spla.splu(k_ff, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
         assert nd_nnz < mmd.nnz
+
+
+def thin_cracked_plate():
+    """100x200 cracked plate solid only where y < 0.1 or x > 0.98 (6.9 % solid).
+
+    The loaded right edge hangs on a two-cell strip, a near mechanism whose
+    relative residual (2.2e-8) sits below its own fp64 roundoff bound (~1e-7).
+    """
+    g = GridSpec(100, 200, 1.0, 2.0)
+    xs = (np.arange(g.nx) + 0.5) * g.hx
+    ys = (np.arange(g.ny) + 0.5) * g.hy
+    solid_cells = (ys[:, None] < 0.1) | (xs[None, :] > 0.98)
+    return ElasticModel(grid=g), DensityField(g, solid_cells.ravel().astype(float))
+
+
+class TestBackwardErrorCheck:
+    def test_thin_near_mechanism_solves(self):
+        # a relative-residual test at 1e-10 rejected this correct solve
+        model, density = thin_cracked_plate()
+        bc = benchmark.cracked_plate_bc(model.grid)
+        assert density.values.mean() == pytest.approx(0.069)
+        k_ff, free = natural_reduced(model, density, bc)
+        expected = spla.spsolve(k_ff, bc.loads[free])
+        u = solve_displacement(model, density, bc)
+        assert np.linalg.norm(u[free] - expected) <= 1e-6 * np.linalg.norm(expected)
+
+    def test_wrong_solution_rejected(self, monkeypatch):
+        model, density = thin_cracked_plate()
+        g = model.grid
+        bc = benchmark.cracked_plate_bc(g)
+        delta = 1e-6 * np.abs(solve_displacement(model, density, bc)).max()
+        # ux of the node at the top of the bottom-right corner cell, inside
+        # the solid strip along the right edge, as an unknown of the factor
+        node = 1 * (g.nx + 1) + g.nx
+        system = fem2d._reduced_system(g, bc.all_constrained)
+        q = int(np.flatnonzero(system.free[system.perm] == 2 * node)[0])
+        splu = spla.splu
+
+        class OffByDelta:
+            # every solve comes back off by delta in unknown q, so the
+            # refinement step cannot remove it
+            def __init__(self, *args, **kwargs):
+                self.lu = splu(*args, **kwargs)
+
+            def solve(self, rhs):
+                out = self.lu.solve(rhs)
+                out[q] += delta
+                return out
+
+        monkeypatch.setattr(spla, "splu", OffByDelta)
+        with pytest.raises(SingularSystem, match="backward error"):
+            solve_displacement(model, density, bc)

@@ -4,13 +4,13 @@ import pytest
 from wxtopo import (
     DensityField,
     DirichletBand,
+    ElasticModel,
     GridSpec,
     HfConfig,
     binarize,
     hf_evaluate,
     pde_smooth,
 )
-from wxtopo import benchmark
 from wxtopo.errors import GridMismatch
 from wxtopo.hf_eval import _dirichlet_cells, infeasible_sentinel
 
@@ -127,7 +127,7 @@ class TestBinarize:
 class TestHfEvaluate:
     def _setup(self, refine=2):
         g = GridSpec(8, 8, 1.0, 1.0)
-        model = benchmark.default_model(g)
+        model = ElasticModel(grid=g)
         cfg = HfConfig(r_h=0.01, refine_factor=refine)
         bc = patch_bc(cfg.refined(g))
         return g, model, cfg, bc
@@ -168,7 +168,7 @@ class TestHfEvaluate:
 
     def test_volume_invariant_for_binary_field_tiny_radius(self):
         g = GridSpec(10, 10, 1.0, 1.0)
-        model = benchmark.default_model(g)
+        model = ElasticModel(grid=g)
         cfg = HfConfig(r_h=g.hx / 10.0, refine_factor=1)
         bc = patch_bc(g)
         values = np.zeros(g.n)
@@ -198,4 +198,3 @@ class TestHfEvaluate:
     def test_sentinel_shape(self):
         s = infeasible_sentinel()
         assert not s.feasible
-        assert s.g.tolist() == [1.0]

@@ -166,7 +166,7 @@ class TestFilterChainRule:
 class TestLfOptimize:
     def setup_method(self):
         self.grid = GridSpec(30, 60, 1.0, 2.0)
-        self.model = benchmark.default_model(self.grid)
+        self.model = ElasticModel(grid=self.grid)
         self.bc = benchmark.cracked_plate_bc(self.grid)
 
     def test_descends_and_respects_volume(self):
@@ -189,7 +189,7 @@ class TestLfOptimize:
         # the budget constraint never overshoots (hard invariant) and sits
         # essentially at its bound, which tracks the seed coordinate
         g = GridSpec(16, 32, 1.0, 2.0)
-        model = benchmark.default_model(g)
+        model = ElasticModel(grid=g)
         bc = benchmark.cracked_plate_bc(g)
         bounds = LfBounds()
         cell_v = g.hx * g.hy
@@ -217,7 +217,7 @@ class TestSeedSweep:
     def test_table_sized_sweep_produces_100(self):
         # 4 x 25 lattice; one subproblem iteration each keeps this cheap
         g = GridSpec(8, 16, 1.0, 2.0)
-        model = benchmark.default_model(g)
+        model = ElasticModel(grid=g)
         bc = benchmark.cracked_plate_bc(g)
         results = seed_sweep(model, bc, 4, 25, 8.0, max_iter=1, workers=2)
         assert len(results) == 100
@@ -229,7 +229,7 @@ class TestSeedSweep:
 
     def test_parallel_matches_serial(self):
         g = GridSpec(8, 16, 1.0, 2.0)
-        model = benchmark.default_model(g)
+        model = ElasticModel(grid=g)
         bc = benchmark.cracked_plate_bc(g)
         serial = seed_sweep(model, bc, 2, 2, 8.0, max_iter=3, workers=1)
         parallel = seed_sweep(model, bc, 2, 2, 8.0, max_iter=3, workers=4)
@@ -238,7 +238,7 @@ class TestSeedSweep:
 
     def test_failed_runs_become_placeholders(self):
         g = GridSpec(8, 16, 1.0, 2.0)
-        model = benchmark.default_model(g)
+        model = ElasticModel(grid=g)
         bad_bc = benchmark.cracked_plate_bc(GridSpec(6, 12, 1.0, 2.0))
         results = seed_sweep(model, bad_bc, 2, 2, 8.0, max_iter=2)
         assert len(results) == 4
