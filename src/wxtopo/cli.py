@@ -162,6 +162,8 @@ def cmd_morph(args) -> int:
         raise ConfigError("weights must lie in [0, 1]")
     if not args.epsilon > 0:
         raise ConfigError(f"--epsilon must be positive, got {args.epsilon!r}")
+    if not args.tau >= 0:
+        raise ConfigError(f"--tau must be >= 0, got {args.tau!r}")
     if args.max_iter < 1:
         raise ConfigError(f"--max-iter must be >= 1, got {args.max_iter}")
     out = Path(args.out)

@@ -4,7 +4,10 @@ Each generation evaluates only the fresh offspring, purges infeasible
 candidates, unions survivors with the previous population, selects down to
 capacity by non-dominated rank with crowding-distance truncation, and tracks
 the dominated hypervolume against a reference point frozen from the first
-feasible generation. Everything is minimization-convention.
+feasible generation. The stop rule reads the hypervolume of an archive of the
+non-dominated objectives of every feasible candidate so far, which never
+decreases; the population's own can dip when truncation drops front members.
+Everything is minimization-convention.
 """
 
 from __future__ import annotations
@@ -233,7 +236,8 @@ def evolve_loop(
 
     population: list[Member] = []
     history: list[GenerationStats] = []
-    hv_history: list[float] = []
+    archive: list[np.ndarray] = []
+    archive_hv: list[float] = []
     ref = None
     generation = 0
 
@@ -262,14 +266,16 @@ def evolve_loop(
             ref = reference_point([m.objectives.j for m in union])
         population, union_front = _select(union, cfg.n_pop)
         hv = hypervolume_2d([m.objectives.j for m in population], ref)
-        hv_history.append(hv)
+        archive += [m.objectives.j for m in feasible]
+        archive = [j for j, r in zip(archive, non_dominated_sort(archive)) if r == 0]
+        archive_hv.append(hypervolume_2d(archive, ref))
         # selection keeps whole ranks in order, and each kept member of rank >= 1
         # is dominated by a kept rank-0 member; when rank 0 overflows, only
         # rank-0 members survive. So the survivors' front is the union's, capped.
         front_size = min(union_front, cfg.n_pop)
         selection_seconds = time.perf_counter() - t0
 
-        hv0 = hv_history[0]
+        hv0 = history[0].hv if history else hv
         stats = GenerationStats(
             generation=generation,
             hv=hv,
@@ -286,7 +292,7 @@ def evolve_loop(
             writer.checkpoint(generation, population)
             writer.record_history(stats)
 
-        if check_convergence(hv_history, cfg):
+        if check_convergence(archive_hv, cfg):
             break
 
         t0 = time.perf_counter()

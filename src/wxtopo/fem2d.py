@@ -185,18 +185,19 @@ def _nested_dissection(nx: int, ny: int) -> np.ndarray:
 
 
 class _ReducedSystem:
-    """Assembly indices of the free-dof stiffness matrix and its factor ordering.
+    """Free-dof stiffness pattern in factor order, fixed per grid and constrained set.
 
-    Fixed per grid and constrained-dof set. ``assemble`` builds the reduced
-    matrix in natural free-dof order straight from the element matrices;
-    ``permuted`` gathers its values into the nested-dissection ordered copy
-    that SuperLU factors without reordering. ``perm[q]`` is the natural index
-    of permuted unknown q.
+    The free dofs are numbered once, in the nested-dissection order that
+    SuperLU factors without reordering: ``free[q]`` is the global dof of
+    unknown q. ``slot`` sends each kept element-matrix entry to its place in
+    the CSC arrays ``indices``/``indptr``, so ``assemble`` is one bincount.
     """
 
     def __init__(self, nx: int, ny: int, constrained: np.ndarray):
         ndof = 2 * (nx + 1) * (ny + 1)
-        self.free = np.setdiff1d(np.arange(ndof), constrained)
+        nodes = _nested_dissection(nx, ny)
+        order = np.column_stack([2 * nodes, 2 * nodes + 1]).ravel()
+        self.free = order[~np.isin(order, constrained)]
         n = self.n = self.free.size
         reduced = np.full(ndof, -1, dtype=np.int32)
         reduced[self.free] = np.arange(n, dtype=np.int32)
@@ -205,50 +206,23 @@ class _ReducedSystem:
         rows = np.repeat(local, 8, axis=1).ravel()
         cols = np.tile(local, (1, 8)).ravel()
         self.keep = (rows >= 0) & (cols >= 0)
-        self.rows = rows[self.keep]
-        del rows
-        self.cols = cols[self.keep]
-        del cols, local
-
-        nodes = _nested_dissection(nx, ny)
-        ordered = reduced[np.column_stack([2 * nodes, 2 * nodes + 1]).ravel()]
-        self.perm = ordered[ordered >= 0]
-        inv = np.empty(n, dtype=np.int32)
-        inv[self.perm] = np.arange(n, dtype=np.int32)
-
-        # gather map of the permuted copy: entry (r, c) of the natural CSC
-        # moves to (inv[r], inv[c]) and carries its position there
-        pattern = self._csc(np.ones(self.rows.size))
-        moved = sp.csc_matrix(
-            (
-                np.arange(pattern.nnz, dtype=np.float64),
-                (inv[pattern.indices], np.repeat(inv, np.diff(pattern.indptr))),
-            ),
-            shape=(n, n),
-        )
-        del pattern
-        self.gather = moved.data.astype(np.int32)
-        self.p_indices = moved.indices
-        self.p_indptr = moved.indptr
+        # column-major keys: sorted unique keys are the CSC entries in order
+        keys = cols[self.keep].astype(np.int64) * n + rows[self.keep]
+        keys, slot = np.unique(keys, return_inverse=True)
+        del rows, cols, local
+        self.slot = slot.astype(np.int32)
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
         # cached and shared by every later solve (the index arrays by every
-        # permuted copy), so nothing may change them in place
-        for arr in (self.free, self.rows, self.cols, self.keep, self.perm, self.gather,
-                    self.p_indices, self.p_indptr):
+        # assembled matrix), so nothing may change them in place
+        for arr in (self.free, self.keep, self.slot, self.indices, self.indptr):
             arr.flags.writeable = False
-
-    def _csc(self, vals: np.ndarray) -> sp.csc_matrix:
-        return sp.csc_matrix((vals, (self.rows, self.cols)), shape=(self.n, self.n))
 
     def assemble(self, disc: _Discretization, density: np.ndarray) -> sp.csc_matrix:
         e_mod = disc.model.simp(density)
-        return self._csc(np.multiply.outer(e_mod, disc.ke_unit.ravel()).ravel()[self.keep])
-
-    def permuted(self, k_ff: sp.csc_matrix) -> sp.csc_matrix:
-        # k_ff comes from ``assemble``, whose CSC layout depends only on the
-        # fixed rows and cols, so the gather built from the pattern applies
-        return sp.csc_matrix(
-            (k_ff.data[self.gather], self.p_indices, self.p_indptr), shape=(self.n, self.n)
-        )
+        vals = np.multiply.outer(e_mod, disc.ke_unit.ravel()).ravel()[self.keep]
+        data = np.bincount(self.slot, weights=vals, minlength=self.indices.size)
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
 @functools.lru_cache(maxsize=8)
@@ -295,11 +269,9 @@ class _Solved:
         self.system = system
         try:
             self.factor = spla.splu(
-                system.permuted(k_ff),
-                permc_spec="NATURAL",
-                options={"SymmetricMode": True},
+                k_ff, permc_spec="NATURAL", options={"SymmetricMode": True}
             )
-            u_f = self._solve(f_f)
+            u_f = self.factor.solve(f_f)
         except RuntimeError as exc:
             raise SingularSystem(str(exc)) from exc
         if not np.all(np.isfinite(u_f)):
@@ -308,7 +280,7 @@ class _Solved:
         if f_norm > 0:
             # one refinement step keeps the residual near machine precision,
             # which adjoint-vs-finite-difference checks rely on
-            u_f = u_f + self._solve(f_f - k_ff @ u_f)
+            u_f = u_f + self.factor.solve(f_f - k_ff @ u_f)
             r = np.abs(k_ff @ u_f - f_f)
             np.abs(k_ff.data, out=k_ff.data)  # k_ff is not used again: |K| in place
             scale = k_ff @ np.abs(u_f) + np.abs(f_f)
@@ -326,16 +298,10 @@ class _Solved:
         self.disc = disc
         self.u = u
 
-    def _solve(self, rhs_f: np.ndarray) -> np.ndarray:
-        perm = self.system.perm
-        out = np.empty_like(rhs_f)
-        out[perm] = self.factor.solve(rhs_f[perm])
-        return out
-
     def adjoint(self, rhs: np.ndarray) -> np.ndarray:
         free = self.system.free
         psi = np.zeros(self.disc.ndof)
-        psi[free] = self._solve(rhs[free])
+        psi[free] = self.factor.solve(rhs[free])
         return psi
 
 

@@ -244,7 +244,7 @@ class TestMorphCommand:
         assert len(report) == 4
 
     @pytest.mark.parametrize("flag, value", [
-        ("--epsilon", "0"), ("--epsilon", "-1"), ("--max-iter", "0"),
+        ("--epsilon", "0"), ("--epsilon", "-1"), ("--max-iter", "0"), ("--tau", "-1"),
     ])
     def test_out_of_range_option_exits_2(self, tmp_path, flag, value):
         pa, pb = self.write_blobs(tmp_path)

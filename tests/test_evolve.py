@@ -264,6 +264,25 @@ class TestEvolveLoop:
             if cur.front_union <= 40:
                 assert cur.hv >= prev.hv - 1e-12
 
+    def test_truncation_dip_does_not_stop_loop(self):
+        # generation 0 keeps a knee (2, 2.1), (2.1, 2); generation 1 adds two
+        # spread-out points, and crowding truncation of the six-point front
+        # drops the knee, so the population HV falls from 84.99 to 69. The
+        # archive HV does not, so with hv_rel_tol = 0 the loop runs to t_max.
+        script = [(0, 10), (2, 2.1), (2.1, 2), (10, 0), (0.5, 7), (7, 0.5)]
+        calls = []
+
+        def scripted(field):
+            j = script[len(calls)] if len(calls) < len(script) else (10.5, 10.5)
+            calls.append(j)
+            return Objectives(np.array(j, dtype=float), True)
+
+        cfg = loop_config(n_pop=4, n_xo=2, t_max=3, hv_window=2)
+        seeds = make_seeds(4, self.grid, np.random.default_rng(3))
+        _, history = evolve_loop(cfg, seeds, scripted, "linear")
+        assert history[1].hv < history[0].hv
+        assert len(history) == 4
+
     def test_extinct_population(self):
         def nothing_survives(field):
             return Objectives(np.array([1.0, 1.0]), False)
