@@ -110,6 +110,23 @@ def wasserstein_crossover(
     return from_probability_minmax(bary)
 
 
+@dataclass(frozen=True, eq=False)
+class OffspringRecord:
+    """How one child was bred.
+
+    ``parents`` index the population and, with ``lam``, come from the draw
+    that produced the child. ``epsilon`` and ``report`` describe its last
+    barycenter and are None for the linear operator; ``linear_fallback`` marks
+    a slot whose barycenters all degenerated, so the child is linear.
+    """
+
+    parents: tuple[int, int]
+    lam: float
+    epsilon: float | None
+    report: SinkhornReport | None
+    linear_fallback: bool
+
+
 def _offspring_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     # (seed, stream, index) fully determines the draws, so serial and
     # parallel generation agree bit for bit.
@@ -124,6 +141,7 @@ def generate_offspring(
     stream: int = 0,
     report_sink: list[SinkhornReport] | None = None,
     workers: int = 1,
+    record_sink: list[OffspringRecord] | None = None,
 ) -> list[DensityField]:
     """Produce exactly ``n_xo`` offspring from uniformly drawn parent pairs.
 
@@ -132,9 +150,11 @@ def generate_offspring(
     weight; if that also degenerates, the slot falls back to the linear
     operator so the offspring count stays exact.
 
-    Children are bred on ``workers`` threads. Each child's draws come from its
-    own (seed, stream, index) generator, and children and reports are
-    collected in child order, so the result does not depend on ``workers``.
+    ``report_sink`` receives every barycenter's report, ``record_sink`` one
+    OffspringRecord per child. Children are bred on ``workers`` threads. Each
+    child's draws come from its own (seed, stream, index) generator, and
+    children, reports and records are collected in child order, so the result
+    does not depend on ``workers``.
     """
     if operator not in ("wasserstein", "linear"):
         raise ValueError(f"unknown operator {operator!r}")
@@ -145,28 +165,33 @@ def generate_offspring(
     check_same_grid(*pop)
     dm = pairwise_distances(pop)
 
-    def breed(k: int) -> tuple[DensityField, list[SinkhornReport]]:
+    def breed(k: int) -> tuple[DensityField, list[SinkhornReport], OffspringRecord]:
         rng = _offspring_rng(cfg.rng_seed, stream, k)
         reports: list[SinkhornReport] = []
         for attempt in range(2):
             i, j = rng.choice(len(pop), size=2, replace=False)
+            parents = (int(i), int(j))
             lam = float(rng.random())
             pair = (pop[i], pop[j])
             if operator == "linear":
-                return linear_crossover(pair, lam), reports
+                record = OffspringRecord(parents, lam, None, None, False)
+                return linear_crossover(pair, lam), reports, record
             eps = adaptive_epsilon(float(dm.d[i, j]), dm, cfg)
             try:
                 child = wasserstein_crossover(
                     pair, lam, eps, cfg.tau, max_iter=cfg.max_iter,
                     report_sink=reports,
                 )
-                return child, reports
+                return child, reports, OffspringRecord(parents, lam, eps, reports[-1], False)
             except ConstantField:
                 if attempt == 1:
-                    return linear_crossover(pair, lam), reports
+                    record = OffspringRecord(parents, lam, eps, reports[-1], True)
+                    return linear_crossover(pair, lam), reports, record
 
     bred = parallel_map(breed, range(n_xo), workers)
     if report_sink is not None:
-        for _, reports in bred:
+        for _, reports, _ in bred:
             report_sink.extend(reports)
-    return [child for child, _ in bred]
+    if record_sink is not None:
+        record_sink.extend(record for _, _, record in bred)
+    return [child for child, _, _ in bred]

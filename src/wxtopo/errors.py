@@ -38,7 +38,21 @@ class PopulationTooSmall(WxTopoError):
 
 
 class SingularSystem(WxTopoError):
-    """Sparse factorization or solve failed, or its backward error is unacceptable."""
+    """Sparse factorization or solve failed, or its backward error is unacceptable.
+
+    ``cause`` names the check that failed: "factor" (the system has rigid
+    modes, or the factorization or solve raised), "non_finite" (the solution
+    holds NaN or inf) or "backward_error" (the refined solution fails the
+    componentwise backward-error bound).
+    """
+
+    CAUSES = ("factor", "non_finite", "backward_error")
+
+    def __init__(self, message: str, cause: str):
+        if cause not in self.CAUSES:
+            raise ValueError(f"unknown cause {cause!r}")
+        super().__init__(message)
+        self.cause = cause
 
 
 class EmptySolidSet(WxTopoError):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ._pool import parallel_map
-from .crossover import CrossoverConfig, generate_offspring
+from .crossover import CrossoverConfig, OffspringRecord, generate_offspring
 from .errors import ExtinctPopulation
 from .grid_field import DensityField, write_field
 from .hf_eval import Objectives
@@ -222,8 +222,8 @@ def evolve_loop(
     ``workers`` threads with id-ordered results, so runs are reproducible for
     any worker count. Parents keep their cached objectives; only fresh
     offspring are evaluated. When ``run_dir`` is given, history, per-phase
-    timings, evaluation records and per-generation checkpoints are written
-    beneath it.
+    timings, evaluation and offspring records and per-generation checkpoints
+    are written beneath it.
     """
     if len(lf_results) < 2:
         raise ExtinctPopulation("need at least two seed designs")
@@ -296,6 +296,7 @@ def evolve_loop(
             break
 
         t0 = time.perf_counter()
+        records: list[OffspringRecord] = []
         fields = generate_offspring(
             [m.field for m in population],
             cfg.n_xo,
@@ -303,14 +304,16 @@ def evolve_loop(
             operator=crossover_operator,
             stream=generation,
             workers=workers,
+            record_sink=records,
         )
         stats.crossover_seconds = time.perf_counter() - t0
-        if writer:
-            writer.record_timings(stats)
         pending = []
         for fld in fields:
             pending.append(Member(fld, None, generation + 1, next_id))
             next_id += 1
+        if writer:
+            writer.record_timings(stats)
+            writer.record_offspring(pending, records, population)
         generation += 1
 
     if writer:
@@ -343,6 +346,11 @@ class _RunWriter:
         self.timings_path.write_text(
             "generation,eval_seconds,crossover_seconds,selection_seconds\n"
         )
+        self.offspring_path = self.dir / "offspring.csv"
+        self.offspring_path.write_text(
+            "generation,candidate_id,parent_a,parent_b,lambda,epsilon,"
+            "sweeps,residual,converged,linear_fallback\n"
+        )
 
     def record_evals(self, generation: int, timed: list[tuple[Member, float]]):
         with self.evals_path.open("a") as fh:
@@ -351,6 +359,21 @@ class _RunWriter:
                 fh.write(
                     f"{generation},{m.id},{_fmt(j[0])},{_fmt(j[1])},"
                     f"{int(m.objectives.feasible)},{seconds:.6f}\n"
+                )
+
+    def record_offspring(
+        self, children: list[Member], records: list[OffspringRecord], parents: list[Member]
+    ):
+        # one row per child, in id order; the barycenter columns stay empty
+        # for the linear operator
+        with self.offspring_path.open("a") as fh:
+            for child, rec in zip(children, records):
+                a, b = (parents[i].id for i in rec.parents)
+                eps = "" if rec.epsilon is None else _fmt(rec.epsilon)
+                bary = ",," if rec.report is None else rec.report.csv_row()
+                fh.write(
+                    f"{child.born},{child.id},{a},{b},{_fmt(rec.lam)},{eps},"
+                    f"{bary},{int(rec.linear_fallback)}\n"
                 )
 
     def checkpoint(self, generation: int, members: list[Member]):

@@ -263,19 +263,24 @@ class _Solved:
         disc = _discretization(model)
         system = _reduced_system(model.grid, bc.all_constrained)
         if system.n == disc.ndof:
-            raise SingularSystem("no constrained dofs; rigid modes present")
+            raise SingularSystem("no constrained dofs; rigid modes present", "factor")
         k_ff = system.assemble(disc, density.values)
         f_f = bc.loads[system.free]
         self.system = system
         try:
+            # K_ff is SPD, so diagonal pivots are safe and keep the fill of the
+            # nested-dissection order; SuperLU's default threshold of 1 pivots
+            # off the diagonal on rough designs and stores up to 2.7x the
+            # entries. A singular matrix still fails the factor.
             self.factor = spla.splu(
-                k_ff, permc_spec="NATURAL", options={"SymmetricMode": True}
+                k_ff, permc_spec="NATURAL",
+                options={"SymmetricMode": True, "DiagPivotThresh": 0.0},
             )
             u_f = self.factor.solve(f_f)
         except RuntimeError as exc:
-            raise SingularSystem(str(exc)) from exc
+            raise SingularSystem(str(exc), "factor") from exc
         if not np.all(np.isfinite(u_f)):
-            raise SingularSystem("solution contains non-finite entries")
+            raise SingularSystem("solution contains non-finite entries", "non_finite")
         f_norm = np.linalg.norm(f_f)
         if f_norm > 0:
             # one refinement step keeps the residual near machine precision,
@@ -291,7 +296,8 @@ class _Solved:
                 raise SingularSystem(
                     f"componentwise backward error {omega:.3e} exceeds "
                     f"{BACKWARD_ERROR_BOUND:.1e} (relative residual "
-                    f"{np.linalg.norm(r) / f_norm:.3e})"
+                    f"{np.linalg.norm(r) / f_norm:.3e})",
+                    "backward_error",
                 )
         u = np.zeros(disc.ndof)
         u[system.free] = u_f

@@ -8,9 +8,18 @@ the dense mode materializes K and serves as the reference for equivalence
 tests and for extracting transport plans on small instances.
 
 Numerical conventions (all linear-domain, no log stabilization):
-  * the separable axis factors are floored at 1e-150 and the dense matrix is
-    built as their Kronecker product, so both modes share one tail structure
-    and mass can always move even where exp(-d^2/eps) underflows;
+  * the separable axis factors are floored at c = 1e-150 and the dense matrix
+    is built as their Kronecker product, so both modes share one tail
+    structure and mass can always move even where exp(-d^2/eps) underflows;
+  * only entries within sqrt(345 eps) / h cells of the diagonal lie above the
+    floor (one cell at eps / h^2 = 0.01, 18 at eps / h^2 = 1), so an axis
+    factor is exactly K = B + c 1 1^T with B = K - c a narrow band. A long
+    axis is applied as blocks of B, each holding only the rows and columns
+    its band touches, plus the floor term c 1 (1^T M): one column sum (or row
+    sum) per stacked slice. An axis of fewer than four blocks (under 121
+    cells), or one whose band blocks would hold more than half of K, stays
+    one block holding K itself with no floor term and computes the plain
+    product bit for bit; this keeps desk's 50x100 grid whole;
   * every scaling-vector denominator is floored at 1e-300 in magnitude.
 """
 
@@ -38,6 +47,80 @@ def _axis_kernel(count: int, h: float, epsilon: float) -> np.ndarray:
     return np.maximum(np.exp(-_axis_sq_dist(count, h) / epsilon), _AXIS_FLOOR)
 
 
+# Band blocks hold about this many rows. An axis is split only when it spans
+# at least four blocks and the blocks hold at most half of K: otherwise the
+# per-block calls and the floor pass cost about what the band saves. Split
+# into 25-row blocks, a 100-cell axis measured no faster on desk's 50x100
+# grid, nor on the paper grid's x axis with two children bred at once, so
+# both stay whole.
+_BLOCK_ROWS = 40
+
+
+@dataclass(frozen=True, eq=False)
+class _AxisFactor:
+    """One floored 1D Gaussian factor K, applied along one axis of a (k, ny, nx) stack.
+
+    ``side`` is "left" for K @ M (the middle axis) and "right" for M @ K (the
+    last axis). ``blocks`` is empty when the axis stays whole; otherwise it
+    holds (lo, hi, c0, c1, block) for consecutive ranges lo:hi of output
+    entries, where block is the band B = K - c restricted to the input
+    entries c0:c1 that reach them, laid out for ``side``. The product is then
+    the blocks' GEMMs plus c times the sums of M along the axis.
+    """
+
+    kernel: np.ndarray
+    side: str
+    blocks: tuple = ()
+    ones: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, kernel: np.ndarray, side: str) -> "_AxisFactor":
+        n = kernel.shape[0]
+        width = int(np.count_nonzero(kernel[0] > _AXIS_FLOOR)) - 1
+        n_blocks = -(-n // _BLOCK_ROWS)
+        edges = [i * n // n_blocks for i in range(n_blocks + 1)]
+        spans = [
+            (lo, hi, max(0, lo - width), min(n, hi + width))
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        entries = sum((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in spans)
+        if n_blocks < 4 or entries > n * n / 2:
+            return cls(kernel, side)
+        band = kernel - _AXIS_FLOOR  # exactly zero off the band
+        # rows lo:hi of K @ M read rows c0:c1 of M; columns lo:hi of M @ K
+        # read columns c0:c1 of M. Contiguous blocks keep the GEMMs fast.
+        blocks = tuple(
+            (lo, hi, c0, c1, np.ascontiguousarray(
+                band[lo:hi, c0:c1] if side == "left" else band[c0:c1, lo:hi]
+            ))
+            for lo, hi, c0, c1 in spans
+        )
+        return cls(kernel, side, blocks, np.ones(n))
+
+    def apply(self, mats: np.ndarray, out: np.ndarray) -> None:
+        """out = K @ mats (left) or mats @ K (right), over the stack."""
+        left = self.side == "left"
+        if not self.blocks:
+            if left:
+                np.matmul(self.kernel, mats, out=out)
+            else:
+                np.matmul(mats, self.kernel, out=out)
+            return
+        for lo, hi, c0, c1, b in self.blocks:
+            if left:
+                np.matmul(b, mats[:, c0:c1, :], out=out[:, lo:hi, :])
+            else:
+                np.matmul(mats[:, :, c0:c1], b, out=out[:, :, lo:hi])
+        # c 1 1^T M is c times the column sums of M, broadcast down the rows
+        # (M c 1 1^T: the row sums, across the columns)
+        if left:
+            floor = np.matmul(self.ones, mats)[:, None, :]
+        else:
+            floor = np.matmul(mats, self.ones)[:, :, None]
+        floor *= _AXIS_FLOOR
+        out += floor
+
+
 def squared_distance_matrix(grid: GridSpec) -> np.ndarray:
     """Full n-by-n squared Euclidean cost over cell centers."""
     xs, ys = grid.cell_centers()
@@ -54,6 +137,15 @@ class KernelApplier:
     applies the two separable axis factors instead. Both expose the plain
     product K @ x and the cost-weighted product (K * C) @ x needed for the
     transport value.
+
+    In the convolutional mode each axis factor is stored once, as built by
+    ``_AxisFactor.build``. An axis that does not pay to split stays one block
+    holding the floored factor itself, and ``apply`` runs the same GEMMs as
+    the plain product Ky @ M @ Kx. A long axis with a narrow band is held as
+    blocks of K - c, one per range of output entries, each holding only the
+    input entries its band reaches; its product adds the floor back as c
+    times one column sum (or row sum) per slice and agrees with the plain
+    product to rounding.
     """
 
     grid: GridSpec
@@ -61,6 +153,8 @@ class KernelApplier:
     mode: str = "convolutional"
     _kx: np.ndarray = field(init=False, repr=False)
     _ky: np.ndarray = field(init=False, repr=False)
+    _x_axis: _AxisFactor = field(init=False, repr=False)
+    _y_axis: _AxisFactor = field(init=False, repr=False)
     _dense: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -71,6 +165,8 @@ class KernelApplier:
         g = self.grid
         object.__setattr__(self, "_kx", _axis_kernel(g.nx, g.hx, self.epsilon))
         object.__setattr__(self, "_ky", _axis_kernel(g.ny, g.hy, self.epsilon))
+        object.__setattr__(self, "_x_axis", _AxisFactor.build(self._kx, "right"))
+        object.__setattr__(self, "_y_axis", _AxisFactor.build(self._ky, "left"))
         dense = None
         if self.mode == "dense":
             dense = self._build_dense()
@@ -81,18 +177,33 @@ class KernelApplier:
         # structure; equals exp(-C/eps) wherever that does not underflow
         return np.kron(self._ky, self._kx)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(
+        self, x: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
+    ) -> np.ndarray:
         """K @ x (K is symmetric, so this is also K^T @ x).
 
         ``x`` is one vector or a (k, n) stack of them, one per row. Row i of a
         stack's result equals ``apply(x[i])`` bit for bit: the convolutional
-        mode runs one (k, ny, nx) matmul stack per axis factor, and each slice
-        is the GEMM a single vector runs.
+        mode runs one (k, ny, nx) matmul stack per axis factor or band block,
+        and each slice is the GEMM a single vector runs.
+
+        ``out`` receives the result and ``tmp`` the one-axis intermediate
+        Ky @ M; both are C-contiguous arrays of x's shape, allocated when not
+        given, so a scaling loop can reuse them across sweeps.
         """
+        if out is None:
+            out = np.empty_like(x)
+        if not out.flags.c_contiguous or (tmp is not None and not tmp.flags.c_contiguous):
+            raise ValueError("out and tmp must be C-contiguous")
         if self._dense is not None:
-            return self._dense @ x if x.ndim == 1 else np.stack([self._dense @ r for r in x])
-        mats = x.reshape(-1, self.grid.ny, self.grid.nx)
-        return np.matmul(np.matmul(self._ky, mats), self._kx).reshape(x.shape)
+            for r, o in zip(x.reshape(-1, x.shape[-1]), out.reshape(-1, x.shape[-1])):
+                np.matmul(self._dense, r, out=o)
+            return out
+        shape = (-1, self.grid.ny, self.grid.nx)
+        mid = np.empty(x.shape).reshape(shape) if tmp is None else tmp.reshape(shape)
+        self._y_axis.apply(x.reshape(shape), mid)
+        self._x_axis.apply(mid, out.reshape(shape))
+        return out
 
     def apply_cost(self, x: np.ndarray) -> np.ndarray:
         """(K * C) @ x, with C the squared-distance cost C = cx + cy."""
@@ -150,22 +261,30 @@ def _floored(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, _DENOM_FLOOR)
 
 
+def _l1_gap(scale, product, target, buf) -> float:
+    """sum |scale * product - target|, evaluated in ``buf``."""
+    np.multiply(scale, product, out=buf)
+    buf -= target
+    return np.abs(buf, out=buf).sum()
+
+
 def _scaling_loop(kern, av, bv, tau, max_iter):
     """Alternating scaling until the max marginal residual drops below tau."""
     u = np.ones_like(av)
     v = np.ones_like(bv)
-    kv = kern.apply(v)
+    tmp = np.empty_like(v)
+    kv = kern.apply(v, tmp=tmp)
+    ku = np.empty_like(u)
+    buf = np.empty_like(u)  # floored denominators, then residual terms
     iterations = 0
     residual = np.inf
     converged = False
     for iterations in range(1, max_iter + 1):
-        u = av / _floored(kv)
-        ku = kern.apply(u)
-        v = bv / _floored(ku)
-        kv = kern.apply(v)
-        ra = np.abs(u * kv - av).sum()
-        rb = np.abs(v * ku - bv).sum()
-        residual = max(ra, rb)
+        np.divide(av, np.maximum(kv, _DENOM_FLOOR, out=buf), out=u)
+        kern.apply(u, out=ku, tmp=tmp)
+        np.divide(bv, np.maximum(ku, _DENOM_FLOOR, out=buf), out=v)
+        kern.apply(v, out=kv, tmp=tmp)
+        residual = max(_l1_gap(u, kv, av, buf), _l1_gap(v, ku, bv, buf))
         if residual < tau:
             converged = True
             break
@@ -260,7 +379,10 @@ def sinkhorn_barycenter(
     active = [i for i in range(n_in) if lam[i] != 0.0]
     a = np.stack([f.masses for f in inputs])
     v = np.ones((n_in, grid.n))
-    t = kern.apply(v)
+    # every kernel product of the run lands in these three buffers
+    u = np.empty_like(v)
+    work = np.empty_like(v)
+    t = kern.apply(v, tmp=work)
     # logs stay row by row, so each equals the log of one t_i taken alone
     log_t = np.empty_like(t)
     for i in range(n_in):
@@ -269,9 +391,12 @@ def sinkhorn_barycenter(
     term = np.empty(grid.n)
 
     def geometric_mean() -> np.ndarray:
-        # exp(sum_i w_i log t_i); log space avoids overflow when scalings blow up
-        acc.fill(0.0)
-        for i in active:
+        # exp(sum_i w_i log t_i); log space avoids overflow when scalings blow up.
+        # The sum starts at its first term, not at 0.0 + that term: the two
+        # differ only in the sign of a zero, and exp maps both zeros to 1.
+        first, *rest = active
+        np.multiply(lam[first], log_t[first], out=acc)
+        for i in rest:
             np.multiply(lam[i], log_t[i], out=term)
             np.add(acc, term, out=acc)
         return np.exp(acc, out=acc)
@@ -280,9 +405,9 @@ def sinkhorn_barycenter(
     residual = np.inf
     converged = False
     for iterations in range(1, max_iter + 1):
-        u = kern.apply(v)
+        kern.apply(v, out=u, tmp=work)
         np.divide(a, np.maximum(u, _DENOM_FLOOR, out=u), out=u)
-        t = kern.apply(u)
+        kern.apply(u, out=t, tmp=work)
         np.maximum(t, _DENOM_FLOOR, out=t)
         for i in range(n_in):
             np.log(t[i], out=log_t[i])

@@ -281,6 +281,32 @@ class TestGenerateOffspring:
             np.testing.assert_allclose(kid.values, 0.4)
 
     @pytest.mark.parametrize("constant", [False, True])
+    def test_records_describe_each_child(self, rng, constant):
+        if constant:
+            g = GridSpec(8, 8, 1.0, 1.0)
+            pop = [field(g, np.full(g.n, 0.4)), field(g, np.full(g.n, 0.4))]
+            cfg = CrossoverConfig(eps_min=1e20, eps_max=1e20, tau=1e-8, rng_seed=11)
+        else:
+            pop, cfg = self.make_pop(rng), self.cfg()
+        reports, records = [], []
+        kids = generate_offspring(pop, 4, cfg, report_sink=reports, record_sink=records)
+        assert len(records) == len(kids) == 4
+        # a fallback slot ran two barycenters; its record keeps the second
+        last = reports[1::2] if constant else reports
+        assert len(last) == 4 and all(r.report is rep for r, rep in zip(records, last))
+        for kid, rec in zip(kids, records):
+            i, j = rec.parents
+            assert i != j and 0 <= min(i, j) and max(i, j) < len(pop)
+            assert rec.linear_fallback == constant
+            if constant:
+                assert rec.epsilon == 1e20
+                np.testing.assert_array_equal(
+                    kid.values, linear_crossover((pop[i], pop[j]), rec.lam).values
+                )
+            else:
+                assert cfg.eps_min <= rec.epsilon <= cfg.eps_max
+
+    @pytest.mark.parametrize("constant", [False, True])
     def test_workers_do_not_change_offspring(self, rng, constant):
         if constant:
             # every barycenter collapses and each slot falls back to linear

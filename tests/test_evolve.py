@@ -397,6 +397,51 @@ class TestEvolveLoop:
 
         assert j_columns(one) == j_columns(two)
 
+    def test_offspring_csv(self, tmp_path):
+        cfg = loop_config(
+            t_max=2,
+            crossover=CrossoverConfig(eps_min=1e-2, eps_max=1e-1, tau=1e-6, max_iter=300),
+        )
+        for workers in (1, 2):
+            evolve_loop(cfg, self.seeds, self.evaluate, "wasserstein",
+                        workers=workers, run_dir=tmp_path / f"w{workers}")
+        one, two = tmp_path / "w1", tmp_path / "w2"
+        assert (one / "offspring.csv").read_bytes() == (two / "offspring.csv").read_bytes()
+        with (one / "offspring.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == [
+            "generation", "candidate_id", "parent_a", "parent_b", "lambda", "epsilon",
+            "sweeps", "residual", "converged", "linear_fallback",
+        ]
+        assert [int(r["generation"]) for r in rows] == [1] * 8 + [2] * 8
+        with (one / "evals.csv").open() as fh:
+            born = [(r["generation"], r["candidate_id"]) for r in csv.DictReader(fh)
+                    if r["generation"] != "0"]
+        assert [(r["generation"], r["candidate_id"]) for r in rows] == born
+        for r in rows:
+            gen = int(r["generation"])
+            parents_dir = one / "checkpoints" / f"gen_{gen - 1:04d}"
+            with (parents_dir / "objectives.csv").open() as fh:
+                parents = {row["candidate_id"] for row in csv.DictReader(fh)}
+            assert {r["parent_a"], r["parent_b"]} <= parents
+            assert r["parent_a"] != r["parent_b"]
+            assert 0.0 <= float(r["lambda"]) <= 1.0
+            assert 1e-2 <= float(r["epsilon"]) <= 1e-1
+            assert 1 <= int(r["sweeps"]) <= 300
+            assert r["converged"] == "1" or r["sweeps"] == "300"
+            assert np.isfinite(float(r["residual"]))
+            assert r["linear_fallback"] == "0"
+
+    def test_offspring_csv_linear_operator(self, tmp_path):
+        run = tmp_path / "run"
+        evolve_loop(loop_config(t_max=1), self.seeds, self.evaluate, "linear", run_dir=run)
+        rows = (run / "offspring.csv").read_text().splitlines()[1:]
+        assert len(rows) == 8
+        for row in rows:
+            gen, _cid, _a, _b, lam, eps, sweeps, residual, converged, fallback = row.split(",")
+            assert gen == "1" and 0.0 <= float(lam) <= 1.0
+            assert (eps, sweeps, residual, converged, fallback) == ("", "", "", "", "0")
+
     def test_crash_keeps_finished_generations(self, tmp_path):
         full = tmp_path / "full"
         evolve_loop(loop_config(t_max=2), self.seeds, self.evaluate, "linear", run_dir=full)

@@ -9,6 +9,7 @@ from wxtopo import (
     sinkhorn_barycenter,
     sinkhorn_distance,
 )
+from wxtopo import ot
 from wxtopo.errors import BadWeights, GridMismatch, SizeLimit
 from wxtopo.ot import _floored, sinkhorn_plan, squared_distance_matrix
 
@@ -284,6 +285,93 @@ class TestBatchedSweepBitIdentity:
             assert stacked.shape == xs.shape
             for x, row in zip(xs, stacked):
                 assert np.array_equal(kern.apply(x), row)
+
+
+def plain_product(kern, x):
+    """Ky @ M @ Kx with the whole floored axis factors, one (ny, nx) slice per row."""
+    mats = x.reshape(-1, kern.grid.ny, kern.grid.nx)
+    return np.matmul(np.matmul(kern._ky, mats), kern._kx).reshape(x.shape)
+
+
+class TestBandedProduct:
+    """Band blocks plus the floor term against the plain two-GEMM product."""
+
+    @staticmethod
+    def grid(long_axis):
+        # the paper's 100x200 grid, or the same turned on its side so that
+        # the split axis is x, whose blocks multiply from the right
+        if long_axis == "y":
+            return GridSpec(100, 200, 1.0, 2.0)
+        return GridSpec(200, 100, 2.0, 1.0)
+
+    @pytest.mark.parametrize("ratio", [0.01, 0.1, 1.0, 1000.0])
+    @pytest.mark.parametrize("long_axis", ["y", "x"])
+    def test_agrees_with_plain_product(self, ratio, long_axis, rng):
+        g = self.grid(long_axis)
+        kern = KernelApplier(g, ratio * g.hx**2)
+        # eps / h^2 = 1000 spreads the band over the whole axis
+        split, whole = kern._y_axis, kern._x_axis
+        if long_axis == "x":
+            split, whole = whole, split
+        assert bool(split.blocks) == (ratio <= 1.0) and not whole.blocks
+        xs = 10.0 ** rng.uniform(-30.0, 30.0, (3, g.n))
+        stacked = kern.apply(xs)
+        assert np.max(np.abs(stacked - plain_product(kern, xs)) / stacked) < 1e-13
+        for x, row in zip(xs, stacked):
+            assert np.array_equal(kern.apply(x), row)
+
+    @pytest.mark.parametrize("ratio", [0.01, 1.0])
+    @pytest.mark.parametrize("long_axis", ["y", "x"])
+    def test_floor_carries_mass_beyond_the_band(self, ratio, long_axis):
+        # one heavy cell in the last corner: far from it along the split
+        # axis, its mass arrives only through that axis's floor term
+        g = self.grid(long_axis)
+        kern = KernelApplier(g, ratio * g.hx**2)
+        x = np.full(g.n, 1e-200)
+        x[-1] = 1.0
+        out = kern.apply(x)
+        ref = plain_product(kern, x)
+        # 199 cells from the heavy one: first row, last column (y) or last
+        # row, first column (x)
+        far = g.nx - 1 if long_axis == "y" else (g.ny - 1) * g.nx
+        assert out[far] > 1e-151  # the band alone leaves ~1e-200 here
+        assert np.max(np.abs(out - ref) / ref) < 1e-13
+
+    @pytest.mark.parametrize(
+        "nx,ny,lx,ly,eps",
+        [
+            (50, 100, 1.0, 2.0, 4e-6),  # desk grid, low end of its eps ramp
+            (50, 100, 1.0, 2.0, 4e-4),
+            (16, 12, 1.0, 0.75, 1e-6),
+            (24, 12, 24.0, 12.0, 1.0),
+            (16, 20, 16.0, 20.0, 2.0),
+            (14, 9, 1.0, 0.6, 1e-2),
+            (32, 16, 32.0, 16.0, 2.0),
+        ],
+    )
+    def test_unsplit_grids_are_the_plain_product(self, nx, ny, lx, ly, eps, rng):
+        g = GridSpec(nx, ny, lx, ly)
+        kern = KernelApplier(g, eps)
+        assert not kern._x_axis.blocks and not kern._y_axis.blocks
+        xs = rng.random((2, g.n))
+        assert np.array_equal(kern.apply(xs), plain_product(kern, xs))
+
+    @pytest.mark.parametrize("ratio", [0.01, 1.0])
+    def test_barycenter_matches_plain_product_sweep(self, ratio, monkeypatch):
+        g = self.grid("y")
+        rng = np.random.default_rng(7)
+        inputs = []
+        for _ in range(2):
+            m = (rng.random(g.n) < 0.4) + 1e-12
+            inputs.append(ProbabilityField(g, m / m.sum()))
+        eps = ratio * g.hx**2
+        banded, rep = sinkhorn_barycenter(inputs, [0.35, 0.65], eps, 1e-9, max_iter=300)
+        monkeypatch.setattr(ot, "_BLOCK_ROWS", 10**9)  # every axis stays whole
+        assert not KernelApplier(g, eps)._y_axis.blocks
+        plain, rep_plain = sinkhorn_barycenter(inputs, [0.35, 0.65], eps, 1e-9, max_iter=300)
+        assert rep.iterations == rep_plain.iterations == 300
+        assert np.max(np.abs(banded.masses - plain.masses) / plain.masses) < 1e-12
+        assert rep.final_residual == pytest.approx(rep_plain.final_residual, rel=1e-9)
 
 
 class TestExactLp:
