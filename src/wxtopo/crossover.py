@@ -115,15 +115,17 @@ class OffspringRecord:
     """How one child was bred.
 
     ``parents`` index the population and, with ``lam``, come from the draw
-    that produced the child. ``epsilon`` and ``report`` describe its last
-    barycenter and are None for the linear operator; ``linear_fallback`` marks
-    a slot whose barycenters all degenerated, so the child is linear.
+    that produced the child. ``reports`` holds the report of every barycenter
+    the slot ran, in order: none for the linear operator, two for a slot that
+    redrew. ``epsilon`` belongs to the last barycenter and is None for the
+    linear operator; ``linear_fallback`` marks a slot whose barycenters all
+    degenerated, so the child is linear.
     """
 
     parents: tuple[int, int]
     lam: float
     epsilon: float | None
-    report: SinkhornReport | None
+    reports: tuple[SinkhornReport, ...]
     linear_fallback: bool
 
 
@@ -139,7 +141,6 @@ def generate_offspring(
     cfg: CrossoverConfig,
     operator: str = "wasserstein",
     stream: int = 0,
-    report_sink: list[SinkhornReport] | None = None,
     workers: int = 1,
     record_sink: list[OffspringRecord] | None = None,
 ) -> list[DensityField]:
@@ -150,11 +151,10 @@ def generate_offspring(
     weight; if that also degenerates, the slot falls back to the linear
     operator so the offspring count stays exact.
 
-    ``report_sink`` receives every barycenter's report, ``record_sink`` one
-    OffspringRecord per child. Children are bred on ``workers`` threads. Each
-    child's draws come from its own (seed, stream, index) generator, and
-    children, reports and records are collected in child order, so the result
-    does not depend on ``workers``.
+    ``record_sink`` receives one OffspringRecord per child. Children are bred
+    on ``workers`` threads. Each child's draws come from its own (seed,
+    stream, index) generator, and children and records are collected in child
+    order, so the result does not depend on ``workers``.
     """
     if operator not in ("wasserstein", "linear"):
         raise ValueError(f"unknown operator {operator!r}")
@@ -165,7 +165,7 @@ def generate_offspring(
     check_same_grid(*pop)
     dm = pairwise_distances(pop)
 
-    def breed(k: int) -> tuple[DensityField, list[SinkhornReport], OffspringRecord]:
+    def breed(k: int) -> tuple[DensityField, OffspringRecord]:
         rng = _offspring_rng(cfg.rng_seed, stream, k)
         reports: list[SinkhornReport] = []
         for attempt in range(2):
@@ -174,24 +174,20 @@ def generate_offspring(
             lam = float(rng.random())
             pair = (pop[i], pop[j])
             if operator == "linear":
-                record = OffspringRecord(parents, lam, None, None, False)
-                return linear_crossover(pair, lam), reports, record
+                return linear_crossover(pair, lam), OffspringRecord(parents, lam, None, (), False)
             eps = adaptive_epsilon(float(dm.d[i, j]), dm, cfg)
             try:
                 child = wasserstein_crossover(
                     pair, lam, eps, cfg.tau, max_iter=cfg.max_iter,
                     report_sink=reports,
                 )
-                return child, reports, OffspringRecord(parents, lam, eps, reports[-1], False)
+                return child, OffspringRecord(parents, lam, eps, tuple(reports), False)
             except ConstantField:
                 if attempt == 1:
-                    record = OffspringRecord(parents, lam, eps, reports[-1], True)
-                    return linear_crossover(pair, lam), reports, record
+                    record = OffspringRecord(parents, lam, eps, tuple(reports), True)
+                    return linear_crossover(pair, lam), record
 
     bred = parallel_map(breed, range(n_xo), workers)
-    if report_sink is not None:
-        for _, reports, _ in bred:
-            report_sink.extend(reports)
     if record_sink is not None:
-        record_sink.extend(record for _, _, record in bred)
-    return [child for child, _, _ in bred]
+        record_sink.extend(record for _, record in bred)
+    return [child for child, _ in bred]

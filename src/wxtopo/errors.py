@@ -46,11 +46,7 @@ class SingularSystem(WxTopoError):
     componentwise backward-error bound).
     """
 
-    CAUSES = ("factor", "non_finite", "backward_error")
-
     def __init__(self, message: str, cause: str):
-        if cause not in self.CAUSES:
-            raise ValueError(f"unknown cause {cause!r}")
         super().__init__(message)
         self.cause = cause
 

@@ -370,7 +370,7 @@ class _RunWriter:
             for child, rec in zip(children, records):
                 a, b = (parents[i].id for i in rec.parents)
                 eps = "" if rec.epsilon is None else _fmt(rec.epsilon)
-                bary = ",," if rec.report is None else rec.report.csv_row()
+                bary = rec.reports[-1].csv_row() if rec.reports else ",,"
                 fh.write(
                     f"{child.born},{child.id},{a},{b},{_fmt(rec.lam)},{eps},"
                     f"{bary},{int(rec.linear_fallback)}\n"

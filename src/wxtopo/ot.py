@@ -17,7 +17,7 @@ Numerical conventions (all linear-domain, no log stabilization):
     axis is applied as blocks of B, each holding only the rows and columns
     its band touches, plus the floor term c 1 (1^T M): one column sum (or row
     sum) per stacked slice. An axis of fewer than four blocks (under 121
-    cells), or one whose band blocks would hold more than half of K, stays
+    cells), or one whose band blocks would hold more than 60 % of K, stays
     one block holding K itself with no floor term and computes the plain
     product bit for bit; this keeps desk's 50x100 grid whole;
   * every scaling-vector denominator is floored at 1e-300 in magnitude.
@@ -48,12 +48,17 @@ def _axis_kernel(count: int, h: float, epsilon: float) -> np.ndarray:
 
 
 # Band blocks hold about this many rows. An axis is split only when it spans
-# at least four blocks and the blocks hold at most half of K: otherwise the
-# per-block calls and the floor pass cost about what the band saves. Split
-# into 25-row blocks, a 100-cell axis measured no faster on desk's 50x100
-# grid, nor on the paper grid's x axis with two children bred at once, so
-# both stay whole.
+# at least four blocks and the blocks hold at most _MAX_BAND_SHARE of K:
+# otherwise the per-block calls and the floor pass cost about what the band
+# saves. Split into 25-row blocks, a 100-cell axis measured no faster on
+# desk's 50x100 grid, nor on the paper grid's x axis with two children bred
+# at once, so both stay whole. On the paper grid's 200-cell y axis (2-input
+# barycenters, one BLAS thread, serial and two at once), the split sweep was
+# faster up to a 0.59 share (eps / h^2 = 8), about even at 0.72-0.80 and
+# slower at 0.86; the paper's eps ramp tops out at a 0.34 share
+# (eps / h^2 = 1).
 _BLOCK_ROWS = 40
+_MAX_BAND_SHARE = 0.6
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +89,7 @@ class _AxisFactor:
             for lo, hi in zip(edges[:-1], edges[1:])
         ]
         entries = sum((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in spans)
-        if n_blocks < 4 or entries > n * n / 2:
+        if n_blocks < 4 or entries > _MAX_BAND_SHARE * n * n:
             return cls(kernel, side)
         band = kernel - _AXIS_FLOOR  # exactly zero off the band
         # rows lo:hi of K @ M read rows c0:c1 of M; columns lo:hi of M @ K
@@ -193,8 +198,7 @@ class KernelApplier:
         """
         if out is None:
             out = np.empty_like(x)
-        if not out.flags.c_contiguous or (tmp is not None and not tmp.flags.c_contiguous):
-            raise ValueError("out and tmp must be C-contiguous")
+        assert out.flags.c_contiguous and (tmp is None or tmp.flags.c_contiguous)
         if self._dense is not None:
             for r, o in zip(x.reshape(-1, x.shape[-1]), out.reshape(-1, x.shape[-1])):
                 np.matmul(self._dense, r, out=o)
@@ -266,6 +270,21 @@ def _l1_gap(scale, product, target, buf) -> float:
     np.multiply(scale, product, out=buf)
     buf -= target
     return np.abs(buf, out=buf).sum()
+
+
+def _std_sum(rows, mean, var) -> float:
+    """np.std(rows, axis=0).sum(), overwriting ``rows`` and two row buffers.
+
+    The same operations as np.std in the same order, so the same bits.
+    """
+    k = rows.shape[0]
+    np.add.reduce(rows, axis=0, out=mean)
+    np.divide(mean, k, out=mean)
+    np.subtract(rows, mean, out=rows)
+    np.square(rows, out=rows)
+    np.add.reduce(rows, axis=0, out=var)
+    np.divide(var, k, out=var)
+    return float(np.sqrt(var, out=var).sum())
 
 
 def _scaling_loop(kern, av, bv, tau, max_iter):
@@ -412,8 +431,9 @@ def sinkhorn_barycenter(
         for i in range(n_in):
             np.log(t[i], out=log_t[i])
             np.divide(geometric_mean(), t[i], out=v[i])
-        marginals = np.multiply(v, t, out=u)  # u is spent; reuse its buffer
-        residual = float(np.std(marginals, axis=0).sum())
+        # u is spent, and acc and term are refilled before they are read
+        marginals = np.multiply(v, t, out=u)
+        residual = _std_sum(marginals, term, acc)
         if residual < tau:
             converged = True
             break

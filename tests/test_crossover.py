@@ -288,13 +288,12 @@ class TestGenerateOffspring:
             cfg = CrossoverConfig(eps_min=1e20, eps_max=1e20, tau=1e-8, rng_seed=11)
         else:
             pop, cfg = self.make_pop(rng), self.cfg()
-        reports, records = [], []
-        kids = generate_offspring(pop, 4, cfg, report_sink=reports, record_sink=records)
+        records = []
+        kids = generate_offspring(pop, 4, cfg, record_sink=records)
         assert len(records) == len(kids) == 4
-        # a fallback slot ran two barycenters; its record keeps the second
-        last = reports[1::2] if constant else reports
-        assert len(last) == 4 and all(r.report is rep for r, rep in zip(records, last))
         for kid, rec in zip(kids, records):
+            # a fallback slot ran two barycenters, a bred child one
+            assert len(rec.reports) == (2 if constant else 1)
             i, j = rec.parents
             assert i != j and 0 <= min(i, j) and max(i, j) < len(pop)
             assert rec.linear_fallback == constant
@@ -320,17 +319,19 @@ class TestGenerateOffspring:
         sys.setswitchinterval(1e-6)  # switch threads often to expose shared state
         try:
             for workers in (1, 2, 4):
-                sink = []
+                records = []
                 kids = generate_offspring(
-                    pop, 5, cfg, stream=3, report_sink=sink, workers=workers
+                    pop, 5, cfg, stream=3, workers=workers, record_sink=records
                 )
-                runs.append((kids, sink))
+                sink = [rep for rec in records for rep in rec.reports]
+                draws = [(r.parents, r.lam, r.epsilon, r.linear_fallback) for r in records]
+                runs.append((kids, sink, draws))
         finally:
             sys.setswitchinterval(interval)
-        base_kids, base_sink = runs[0]
+        base_kids, base_sink, base_draws = runs[0]
         assert len(base_sink) == (10 if constant else 5)
-        for kids, sink in runs[1:]:
-            assert len(kids) == 5
+        for kids, sink, draws in runs[1:]:
+            assert len(kids) == 5 and draws == base_draws
             for a, b in zip(base_kids, kids):
                 assert np.array_equal(a.values, b.values)
             assert [r.csv_row() for r in sink] == [r.csv_row() for r in base_sink]

@@ -465,7 +465,3 @@ class TestSolveFailureCause:
         with pytest.raises(SingularSystem, match="backward error.*relative residual") as info:
             solve_displacement(self.model, solid(self.grid), patch_bc(self.grid))
         assert info.value.cause == "backward_error"
-
-    def test_unknown_cause_rejected(self):
-        with pytest.raises(ValueError, match="unknown cause"):
-            SingularSystem("message", "pivot")
