@@ -10,6 +10,7 @@ they carry squared-length units).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -134,9 +135,13 @@ def _parse_value(key: str, raw: str, typ) -> object:
     try:
         if typ in (int, "int"):
             return int(raw)
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r}") from exc
+    # NaN fails every comparison, so the derived objects' range checks would pass it
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {raw!r} is not a finite number")
+    return value
 
 
 def parse_config_text(text: str, preset: str = "paper2d", source: str = "<config>") -> RunConfig:

@@ -21,6 +21,13 @@ from .ot import DEFAULT_MAX_ITER, SinkhornReport, sinkhorn_barycenter
 
 @dataclass(frozen=True)
 class CrossoverConfig:
+    """Crossover settings.
+
+    ``eps_min`` and ``eps_max`` bound the per-pair regularization ramp. ``tau``
+    bounds the barycenter's input-side marginal gap r, an L1 mass (see
+    ``ot.sinkhorn_barycenter``); ``max_iter`` caps its sweeps.
+    """
+
     eps_min: float = 1e-6
     eps_max: float = 1e-4
     tau: float = 1e-9
@@ -30,7 +37,7 @@ class CrossoverConfig:
     def __post_init__(self):
         if not (0 < self.eps_min <= self.eps_max):
             raise ValueError("need 0 < eps_min <= eps_max")
-        if self.tau < 0:
+        if not self.tau >= 0:  # NaN fails too
             raise ValueError("need tau >= 0")
         if self.max_iter < 1:
             # with no sweep the barycenter is the normalized K 1, the same

@@ -20,7 +20,12 @@ Numerical conventions (all linear-domain, no log stabilization):
     cells), or one whose band blocks would hold more than 60 % of K, stays
     one block holding K itself with no floor term and computes the plain
     product bit for bit; this keeps desk's 50x100 grid whole;
-  * every scaling-vector denominator is floored at 1e-300 in magnitude.
+  * every scaling-vector denominator is floored at 1e-300 in magnitude;
+  * both scaling loops stop on an L1 marginal gap, a mass (every measure sums
+    to one): the distance loop on the larger of its two gaps, the barycenter
+    on the input-side gap r = sum_i ||u_i * (K v_i) - a_i||_1 of its Jacobi
+    sweep (Solomon et al., "Convolutional Wasserstein Distances", SIGGRAPH
+    2015, Alg. 2; Benamou et al., SIAM J. Sci. Comput. 2015).
 """
 
 from __future__ import annotations
@@ -261,30 +266,11 @@ class TransportPlan:
         return self.plan.sum(axis=0)
 
 
-def _floored(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, _DENOM_FLOOR)
-
-
 def _l1_gap(scale, product, target, buf) -> float:
     """sum |scale * product - target|, evaluated in ``buf``."""
     np.multiply(scale, product, out=buf)
     buf -= target
     return np.abs(buf, out=buf).sum()
-
-
-def _std_sum(rows, mean, var) -> float:
-    """np.std(rows, axis=0).sum(), overwriting ``rows`` and two row buffers.
-
-    The same operations as np.std in the same order, so the same bits.
-    """
-    k = rows.shape[0]
-    np.add.reduce(rows, axis=0, out=mean)
-    np.divide(mean, k, out=mean)
-    np.subtract(rows, mean, out=rows)
-    np.square(rows, out=rows)
-    np.add.reduce(rows, axis=0, out=var)
-    np.divide(var, k, out=var)
-    return float(np.sqrt(var, out=var).sum())
 
 
 def _scaling_loop(kern, av, bv, tau, max_iter):
@@ -363,29 +349,28 @@ def sinkhorn_barycenter(
 ) -> tuple[ProbabilityField, SinkhornReport]:
     """Weighted entropic barycenter of two or more grid measures.
 
-    One sweep updates, for each input i in turn,
+    The convolutional Sinkhorn scheme of Solomon et al. ("Convolutional
+    Wasserstein Distances", SIGGRAPH 2015, Alg. 2): Jacobi iterative Bregman
+    projections (Benamou et al., SIAM J. Sci. Comput. 2015). One sweep over
+    the (k, n) stack of inputs a_i with weights w_i runs
         u_i <- a_i / (K v_i)
-        v_i <- (prod_j (K^T u_j)^{w_j}) / (K^T u_i),
-    and the convergence functional E sums, over cells, the standard deviation
-    across inputs of the barycenter-side marginals v_i * (K^T u_i). The sweep
-    order matters: v_i sees the new t_j = K^T u_j for j <= i and the previous
-    sweep's t_j for j > i, and marginals computed mid-sweep see that mix of
-    old and new scalings, which is exactly what makes E a useful stall
-    detector.
+        t_i <- K^T u_i
+        p   <- prod_j t_j^{w_j}
+        v_i <- p / t_i,
+    every u_i first, then one geometric mean p, then every v_i. The sweep
+    stops once the input-side marginal gap
+        r = sum_i ||u_i * (K v_i) - a_i||_1,
+    an L1 mass (each a_i sums to one), falls below ``tau``. K v_i is the
+    product the next sweep starts from, so a sweep costs two stacked kernel
+    products, r included.
 
-    The sweep is batched without changing that order. u_i reads only the
-    previous sweep's v_i, so all K v_i form one stacked product, and so do
-    all K^T u_i after them. Only the geometric means run input by input, over
-    log t_j cached whenever t_j changes. Every stacked slice and every
-    elementwise step computes what the input-by-input loop computes, in the
-    same order, so the field, the iteration count and the residual are the
-    same to the bit.
-
-    Returns the geometric mean prod_i (K^T u_i)^{w_i}, renormalized to unit
-    mass (the raw product is not guaranteed to sum to one).
+    Returns the last p, renormalized to unit mass (the raw product is not
+    guaranteed to sum to one).
     """
     if len(inputs) < 2:
         raise ValueError("need at least two input fields")
+    if max_iter < 1:
+        raise ValueError("need max_iter >= 1")
     grid = check_same_grid(*inputs)
     lam = np.asarray(weights, dtype=np.float64)
     if lam.size != len(inputs):
@@ -394,56 +379,37 @@ def sinkhorn_barycenter(
         raise BadWeights("weights must be nonnegative and sum to 1 within 1e-9")
     kern = KernelApplier(grid, epsilon, mode)
 
-    n_in = len(inputs)
-    active = [i for i in range(n_in) if lam[i] != 0.0]
     a = np.stack([f.masses for f in inputs])
-    v = np.ones((n_in, grid.n))
-    # every kernel product of the run lands in these three buffers
-    u = np.empty_like(v)
-    work = np.empty_like(v)
-    t = kern.apply(v, tmp=work)
-    # logs stay row by row, so each equals the log of one t_i taken alone
-    log_t = np.empty_like(t)
-    for i in range(n_in):
-        np.log(t[i], out=log_t[i])
-    acc = np.empty(grid.n)
-    term = np.empty(grid.n)
-
-    def geometric_mean() -> np.ndarray:
-        # exp(sum_i w_i log t_i); log space avoids overflow when scalings blow up.
-        # The sum starts at its first term, not at 0.0 + that term: the two
-        # differ only in the sign of a zero, and exp maps both zeros to 1.
-        first, *rest = active
-        np.multiply(lam[first], log_t[first], out=acc)
-        for i in rest:
-            np.multiply(lam[i], log_t[i], out=term)
-            np.add(acc, term, out=acc)
-        return np.exp(acc, out=acc)
+    v = np.ones_like(a)
+    # every kernel product of the run lands in these buffers
+    u = np.empty_like(a)
+    t = np.empty_like(a)
+    work = np.empty_like(a)
+    kv = kern.apply(v, tmp=work)
+    p = np.empty(grid.n)
 
     iterations = 0
     residual = np.inf
     converged = False
     for iterations in range(1, max_iter + 1):
-        kern.apply(v, out=u, tmp=work)
-        np.divide(a, np.maximum(u, _DENOM_FLOOR, out=u), out=u)
+        np.divide(a, np.maximum(kv, _DENOM_FLOOR, out=u), out=u)
         kern.apply(u, out=t, tmp=work)
         np.maximum(t, _DENOM_FLOOR, out=t)
-        for i in range(n_in):
-            np.log(t[i], out=log_t[i])
-            np.divide(geometric_mean(), t[i], out=v[i])
-        # u is spent, and acc and term are refilled before they are read
-        marginals = np.multiply(v, t, out=u)
-        residual = _std_sum(marginals, term, acc)
+        # exp(sum_i w_i log t_i); log space avoids overflow when scalings blow up
+        np.matmul(lam, np.log(t, out=work), out=p)
+        np.exp(p, out=p)
+        np.divide(p, t, out=v)
+        kern.apply(v, out=kv, tmp=work)
+        residual = _l1_gap(u, kv, a, work)
         if residual < tau:
             converged = True
             break
 
-    bary = geometric_mean()
-    total = bary.sum()
+    total = p.sum()
     if not np.isfinite(total) or total <= 0:
         bary = np.full(grid.n, 1.0 / grid.n)
     else:
-        bary = bary / total
+        bary = p / total
         s = bary.sum()
         if abs(s - 1.0) > 1e-13:
             bary = bary / s

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from statistics import median
 
 from .errors import MissingHistory
 
@@ -155,4 +156,30 @@ def _timing_table(run_dir: Path, history: list[dict]) -> str:
         share = 100.0 * secs / total if total > 0 else 0.0
         lines.append(f"{name:<12}{secs:>12.2f}{share:>8.1f}%")
     lines.append(f"{'total':<12}{total:>12.2f}{100.0 if total > 0 else 0.0:>8.1f}%")
+    opath = run_dir / "offspring.csv"
+    if opath.exists():
+        lines += ["", *_crossover_table(_read_csv(opath))]
     return "\n".join(lines) + "\n"
+
+
+def _crossover_table(offspring: list[dict]) -> list[str]:
+    """Children, median sweeps, converged barycenters and linear fallbacks per generation.
+
+    Rows bred by the linear operator carry no barycenter, so their generation
+    prints "-" in the barycenter columns.
+    """
+    by_gen: dict[int, list[dict]] = {}
+    for row in offspring:
+        by_gen.setdefault(int(row["generation"]), []).append(row)
+    lines = [f"{'generation':<12}{'children':>10}{'sweeps_p50':>12}{'converged':>11}"
+             f"{'linear_fallback':>17}"]
+    for gen, rows in sorted(by_gen.items()):
+        bary = [r for r in rows if r["sweeps"]]
+        if bary:
+            sweeps = f"{median(int(r['sweeps']) for r in bary):g}"
+            converged = str(sum(int(r["converged"]) for r in bary))
+            fallbacks = str(sum(int(r["linear_fallback"]) for r in bary))
+        else:
+            sweeps = converged = fallbacks = "-"
+        lines.append(f"{gen:<12}{len(rows):>10}{sweeps:>12}{converged:>11}{fallbacks:>17}")
+    return lines

@@ -88,6 +88,12 @@ class TestConfig:
         ("lf.p_norm = 0.5\nfem.q_rel = 4", "p_norm must be >= 1"),
         ("lf.r_min = 0", "r_min"),
         ("lf.v_max = 1.5", "v_max <= 1"),
+        ("xo.tau = nan", "'xo.tau'.*not a finite number"),
+        ("xo.eps_max = inf", "'xo.eps_max'.*not a finite number"),
+        ("hf.r_h = nan", "'hf.r_h'.*not a finite number"),
+        ("grid.lx = inf", "'grid.lx'.*not a finite number"),
+        ("grid.ly = -inf", "'grid.ly'.*not a finite number"),
+        ("evolve.hv_rel_tol = nan", "'evolve.hv_rel_tol'.*not a finite number"),
     ])
     def test_out_of_range_value_rejected(self, line, problem):
         with pytest.raises(ConfigError, match=problem):
@@ -132,7 +138,7 @@ class TestSeedCommand:
     def test_out_of_range_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         for line in ("grid.nx = 1", "lf.n_s1 = 0", "lf.max_iter = 0", "lf.move = -0.1",
-                     "lf.p_norm = 1.5"):
+                     "lf.p_norm = 1.5", "xo.tau = nan"):
             bad.write_text(line)
             code = main(["seed", "--config", str(bad), "--out", str(tmp_path / "o")])
             assert code == 2, line
@@ -301,12 +307,46 @@ class TestEvalCommand:
 
 
 class TestReportCommand:
-    def make_run(self, tiny_cfg, tmp_path):
+    def make_run(self, tiny_cfg, tmp_path, operator="wasserstein"):
         seeds = tmp_path / "seeds"
         main(["seed", "--config", str(tiny_cfg), "--out", str(seeds)])
         run = tmp_path / "run"
-        main(["evolve", "--config", str(tiny_cfg), "--seeds", str(seeds), "--out", str(run)])
+        main(["evolve", "--config", str(tiny_cfg), "--seeds", str(seeds), "--out", str(run),
+              "--operator", operator])
         return run
+
+    @staticmethod
+    def crossover_rows(run):
+        lines = (run / "timing.txt").read_text().splitlines()
+        head = [i for i, line in enumerate(lines) if line.split()[:2] == ["generation", "children"]]
+        if not head:
+            return None
+        assert lines[head[0]].split() == [
+            "generation", "children", "sweeps_p50", "converged", "linear_fallback"
+        ]
+        return [line.split() for line in lines[head[0] + 1:]]
+
+    def test_crossover_table(self, tiny_cfg, tmp_path):
+        run = self.make_run(tiny_cfg, tmp_path)
+        assert main(["report", str(run)]) == 0
+        with (run / "offspring.csv").open() as fh:
+            offspring = list(csv.DictReader(fh))
+        assert len(offspring) == 4 and {r["generation"] for r in offspring} == {"1"}
+        assert self.crossover_rows(run) == [[
+            "1", "4", f"{np.median([int(r['sweeps']) for r in offspring]):g}",
+            str(sum(int(r["converged"]) for r in offspring)),
+            str(sum(int(r["linear_fallback"]) for r in offspring)),
+        ]]
+        # a run directory from before offspring.csv still reports
+        (run / "offspring.csv").unlink()
+        assert main(["report", str(run)]) == 0
+        assert self.crossover_rows(run) is None
+        assert "generations: 2" in (run / "timing.txt").read_text()
+
+    def test_crossover_table_linear_operator(self, tiny_cfg, tmp_path):
+        run = self.make_run(tiny_cfg, tmp_path, operator="linear")
+        assert main(["report", str(run)]) == 0
+        assert self.crossover_rows(run) == [["1", "4", "-", "-", "-"]]
 
     def test_artifacts_emitted(self, tiny_cfg, tmp_path):
         run = self.make_run(tiny_cfg, tmp_path)

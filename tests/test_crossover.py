@@ -81,6 +81,11 @@ class TestAdaptiveEpsilon:
         dm = pairwise_distances([f, f])
         assert adaptive_epsilon(0.0, dm, self.cfg) == self.cfg.eps_min
 
+    @pytest.mark.parametrize("tau", [-1.0, float("nan")])
+    def test_tau_must_be_nonnegative(self, tau):
+        with pytest.raises(ValueError, match="tau >= 0"):
+            CrossoverConfig(tau=tau)
+
     @given(st.floats(min_value=-1.0, max_value=5.0), st.floats(min_value=-1.0, max_value=5.0))
     @settings(max_examples=40, deadline=None)
     def test_monotone_and_clamped(self, d1, d2):
