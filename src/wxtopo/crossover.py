@@ -35,8 +35,9 @@ class CrossoverConfig:
     max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
-        if not (0 < self.eps_min <= self.eps_max):
-            raise ValueError("need 0 < eps_min <= eps_max")
+        # an infinite eps_max would make adaptive_epsilon return inf or NaN
+        if not (0 < self.eps_min <= self.eps_max < np.inf):
+            raise ValueError("need 0 < eps_min <= eps_max < inf")
         if not self.tau >= 0:  # NaN fails too
             raise ValueError("need tau >= 0")
         if self.max_iter < 1:

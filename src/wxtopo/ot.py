@@ -168,8 +168,8 @@ class KernelApplier:
     _dense: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:  # NaN fails too
+            raise ValueError("epsilon must be positive and finite")
         if self.mode not in ("dense", "convolutional"):
             raise ValueError(f"unknown kernel mode {self.mode!r}")
         g = self.grid

@@ -10,6 +10,8 @@ starting designs the evolutionary stage feeds on.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +159,107 @@ _ASY_DECR = 0.7
 _ALBEFA = 0.1
 _RAA0 = 1e-5
 _EPS_MIX = 1e-3
+_DUAL_HALVINGS = 120
+_REPLAY_WINDOWS = (1e-13, 1e-10)
+
+
+def _dual_multiplier(con: Callable[[float], float]) -> float:
+    """The multiplier a bracket-and-bisect dual solve returns, in ~20 evaluations.
+
+    ``con(lam)`` is the subproblem constraint at the primal minimizer for
+    multiplier ``lam``, non-increasing in ``lam``. The multiplier is 0 when
+    that point is feasible. Otherwise [0, 1] is doubled until its upper end
+    is feasible, halved ``_DUAL_HALVINGS`` times, and the feasible end is
+    returned. The halvings are replayed rather than run: Brent's method
+    locates the sign change first, only the midpoints within a relative
+    window of it are evaluated, and the others are decided by monotonicity,
+    so the result is the plain loop's float. Near its root ``con`` is
+    rounding noise, which can be wider than the first window; a replayed
+    bracket that fails its sign check is replayed in the next wider window,
+    and after the last in full.
+    """
+    known: dict[float, float] = {}
+
+    def cached(lam: float) -> float:
+        value = known.get(lam)
+        if value is None:
+            value = known[lam] = con(lam)
+        return value
+
+    if cached(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        if cached(hi) <= 0.0:
+            break
+        lo, hi = hi, hi * 2.0
+    else:
+        raise DualBisectionFailed("could not bracket the dual multiplier")
+
+    root = _brent_root(cached, lo, hi)
+    for window in _REPLAY_WINDOWS:
+        reach = window * root
+        a, b = _halve(
+            lo, hi, lambda mid: mid > root + reach or (mid >= root - reach and cached(mid) <= 0.0)
+        )
+        if cached(a) > 0.0 >= cached(b):
+            return b
+    return _halve(lo, hi, lambda mid: cached(mid) <= 0.0)[1]
+
+
+def _halve(lo: float, hi: float, feasible: Callable[[float], bool]) -> tuple[float, float]:
+    for _ in range(_DUAL_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _brent_root(f: Callable[[float], float], a: float, b: float) -> float:
+    """A root of ``f`` in [a, b], f(a) > 0 >= f(b), to within 4 ulps.
+
+    Brent's zeroin (*Algorithms for Minimization without Derivatives*, 1973,
+    ch. 4): inverse quadratic or secant steps, bisection when they fail to
+    shrink the bracket [b, c] fast enough. It stops early on an exact zero.
+    """
+    fa, fb = f(a), f(b)
+    c, fc = a, fa
+    # zeroin ends on its own; the cap only bounds the evaluations spent, as a
+    # rough root costs the caller a wider replay, not a different result
+    for _ in range(2 * _DUAL_HALVINGS):
+        prev_step = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * sys.float_info.epsilon * abs(b)
+        step = 0.5 * (c - b)
+        if abs(step) <= tol or fb == 0.0:
+            break
+        if abs(prev_step) >= tol and abs(fa) > abs(fb):
+            cb = c - b
+            if a == c:
+                t1 = fb / fa
+                p, q = cb * t1, 1.0 - t1
+            else:
+                q, t1, t2 = fa / fc, fb / fc, fb / fa
+                p = t2 * (cb * q * (q - t1) - (b - a) * (t1 - 1.0))
+                q = (q - 1.0) * (t1 - 1.0) * (t2 - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if p < 0.75 * cb * q - 0.5 * abs(tol * q) and p < abs(0.5 * prev_step * q):
+                step = p / q
+        if abs(step) < tol:
+            step = math.copysign(tol, step)
+        a, fa = b, fb
+        b += step
+        fb = f(b)
+        if (fb > 0.0 and fc > 0.0) or (fb < 0.0 and fc < 0.0):
+            c, fc = a, fa
+    return b
 
 
 def mma_update(
@@ -170,9 +273,9 @@ def mma_update(
     """One moving-asymptotes step for a single inequality constraint.
 
     Builds the standard convex separable approximation around the current
-    point, then solves its dual in the single multiplier by bracketing and
-    bisection. Every variable stays within ``move`` of its current value and
-    inside [0, 1].
+    point, then solves its dual in the single multiplier (see
+    ``_dual_multiplier``). Every variable stays within ``move`` of its current
+    value and inside [0, 1].
     """
     if move <= 0:
         raise ValueError("move limit must be positive")
@@ -221,25 +324,7 @@ def mma_update(
         xn = primal(lam)
         return float(np.sum(p1 / (upp - xn) + q1 / (xn - low)) - b)
 
-    if con(0.0) <= 0.0:
-        lam_star = 0.0
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            if con(hi) <= 0.0:
-                break
-            lo, hi = hi, hi * 2.0
-        else:
-            raise DualBisectionFailed("could not bracket the dual multiplier")
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if con(mid) <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        lam_star = hi  # feasible side of the bracket
-
-    x_new = primal(lam_star)
+    x_new = primal(_dual_multiplier(con))
     state.xold2 = state.xold1
     state.xold1 = xv.copy()
     state.low = low

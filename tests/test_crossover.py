@@ -86,6 +86,17 @@ class TestAdaptiveEpsilon:
         with pytest.raises(ValueError, match="tau >= 0"):
             CrossoverConfig(tau=tau)
 
+    @pytest.mark.parametrize(
+        "eps_min, eps_max",
+        [(1e-3, float("inf")), (1e-3, float("nan")), (float("nan"), 1e-3),
+         (float("inf"), float("inf"))],
+    )
+    def test_eps_bounds_must_be_finite(self, eps_min, eps_max):
+        # an infinite or NaN bound made adaptive_epsilon return inf or NaN,
+        # and every child silently fell back to the linear operator
+        with pytest.raises(ValueError, match="eps_max < inf"):
+            CrossoverConfig(eps_min=eps_min, eps_max=eps_max)
+
     @given(st.floats(min_value=-1.0, max_value=5.0), st.floats(min_value=-1.0, max_value=5.0))
     @settings(max_examples=40, deadline=None)
     def test_monotone_and_clamped(self, d1, d2):

@@ -117,6 +117,11 @@ class TestKernelModes:
         vc = sinkhorn_distance(a, b, 0.02, 1e-11, mode="convolutional").value
         assert vd == pytest.approx(vc, rel=1e-9)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("inf"), float("nan")])
+    def test_epsilon_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="positive and finite"):
+            KernelApplier(GridSpec(4, 4, 1.0, 1.0), eps)
+
     def test_stack_rows_match_single_applies(self, rng):
         g = GridSpec(14, 9, 1.0, 0.6)
         xs = rng.random((3, g.n))

@@ -1,3 +1,6 @@
+import copy
+import math
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,8 @@ from wxtopo import (
     mma_update,
     seed_sweep,
 )
-from wxtopo import benchmark
-from wxtopo.errors import GridMismatch
+from wxtopo import benchmark, topopt_lf
+from wxtopo.errors import DualBisectionFailed, GridMismatch
 from wxtopo.fem2d import pnorm_objective_grad
 from wxtopo.topopt_lf import MmaState, seed_grid
 
@@ -136,6 +139,186 @@ class TestMmaUpdate:
         vol_grad = np.full(g.n, 1.0 / g.n)
         out = mma_update(x, np.full(g.n, -1.0), vol_grad, 0.0, 0.05, MmaState(g.n))
         assert out.values.mean() <= 0.5 + 1e-9
+
+
+REPLAYED_DUAL = topopt_lf._dual_multiplier
+
+
+def bisection_dual(con):
+    """The dual solve as a plain bracket and 120-step bisection: the reference."""
+    if con(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        if con(hi) <= 0.0:
+            break
+        lo, hi = hi, hi * 2.0
+    else:
+        raise DualBisectionFailed("could not bracket the dual multiplier")
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if con(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def random_subproblem(rng, volume_like=True):
+    """Arguments and asymptote state of one update, with fresh or adapted asymptotes."""
+    n = 2 * int(rng.integers(2, 200))
+    x = DensityField(GridSpec(n // 2, 2, 1.0, 1.0), rng.uniform(0.0, 1.0, n))
+    g0 = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 0) / n
+    gc = rng.uniform(0.2, 1.0, n) / n if volume_like else rng.standard_normal(n) / n
+    move = float(rng.uniform(0.01, 0.3))
+    cv = float(rng.uniform(-0.2, 0.5) * move * np.abs(gc).sum())
+    state = MmaState(n)
+    if rng.random() < 0.5:
+        state.iteration = 2
+        state.xold1 = np.clip(x.values + rng.uniform(-0.1, 0.1, n), 0.0, 1.0)
+        state.xold2 = np.clip(state.xold1 + rng.uniform(-0.1, 0.1, n), 0.0, 1.0)
+        state.low = state.xold1 - rng.uniform(0.05, 0.6, n)
+        state.upp = state.xold1 + rng.uniform(0.05, 0.6, n)
+    return (x, g0, gc, cv, move), state
+
+
+def counted_replay(con, evals):
+    """The replayed dual, appending each multiplier it evaluates to ``evals``."""
+    return REPLAYED_DUAL(lambda lam: evals.append(lam) or con(lam))
+
+
+def both_duals(monkeypatch, args, state):
+    """x_new by the replayed dual and by the reference, the replay's
+    evaluation count and the reference multiplier."""
+    evals, lams = [], []
+
+    def counted(con):
+        return counted_replay(con, evals)
+
+    def reference(con):
+        lams.append(bisection_dual(con))
+        return lams[-1]
+
+    out = []
+    for dual in (counted, reference):
+        monkeypatch.setattr(topopt_lf, "_dual_multiplier", dual)
+        out.append(mma_update(*args, copy.deepcopy(state)).values)
+    return out[0], out[1], len(evals), lams[0]
+
+
+class TestDualReplay:
+    """The dual solve returns the plain bisection's multiplier bit for bit."""
+
+    def test_random_subproblems_match_bisection(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        counts, lams = [], []
+        for k in range(260):
+            args, state = random_subproblem(rng, volume_like=k % 4 != 0)
+            try:
+                new, ref, n_evals, lam = both_duals(monkeypatch, args, state)
+            except DualBisectionFailed:
+                monkeypatch.setattr(topopt_lf, "_dual_multiplier", bisection_dual)
+                with pytest.raises(DualBisectionFailed):
+                    mma_update(*args, copy.deepcopy(state))
+                continue
+            assert np.array_equal(new, ref)
+            counts.append(n_evals)
+            lams.append(lam)
+        lams = np.array(lams)
+        assert len(lams) >= 200
+        assert (lams == 0).sum() >= 10 and (lams > 0).sum() >= 180
+        # rounding noise near a root can cost a wider replay window, never
+        # the full 120-step bisection
+        assert np.median(counts) <= 26 and max(counts) <= 45
+
+    def test_slack_constraint_leaves_every_variable_at_its_move_limit(self, monkeypatch):
+        g = GridSpec(3, 3, 1.0, 1.0)
+        x = DensityField(g, np.linspace(0.2, 0.8, g.n))
+        args = (x, np.full(g.n, -1.0), np.full(g.n, 1e-3), -1.0, 0.05)
+        new, ref, n_evals, lam = both_duals(monkeypatch, args, MmaState(g.n))
+        assert lam == 0.0 and n_evals == 1
+        assert np.array_equal(new, ref)
+        np.testing.assert_allclose(new, x.values + 0.05, rtol=0, atol=1e-15)
+
+    def test_root_where_every_variable_reaches_its_move_limit(self, monkeypatch):
+        # shift the bound so that the constraint turns feasible only just
+        # before every variable sits on its lower move limit; con has a kink
+        # at nearly every variable's clip point near the root
+        rng = np.random.default_rng(3)
+        (x, g0, gc, cv, move), state = random_subproblem(rng)
+        move = 0.02
+        captured = []
+        monkeypatch.setattr(
+            topopt_lf, "_dual_multiplier", lambda con: captured.append(con) or 0.0
+        )
+        mma_update(x, g0, gc, cv, move, MmaState(x.grid.n))
+        clipped = captured[0](1e12)
+        args = (x, g0, gc, cv - clipped - 1e-12, move)
+        new, ref, n_evals, lam = both_duals(monkeypatch, args, MmaState(x.grid.n))
+        assert lam > 0.0
+        assert np.array_equal(new, ref)
+        np.testing.assert_allclose(new, np.maximum(x.values - move, 0.0), rtol=0, atol=1e-6)
+        # con is flat beyond the root, where Brent's steps fall back toward
+        # bisection; still fewer evaluations than the plain loop's 122
+        assert n_evals < 100
+
+    def test_roots_beyond_the_unit_bracket(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            (x, g0, gc, cv, move), state = random_subproblem(rng)
+            args = (x, 1e5 * g0, gc, abs(cv), move)
+            new, ref, n_evals, lam = both_duals(monkeypatch, args, state)
+            assert lam > 16.0
+            assert np.array_equal(new, ref)
+            # one evaluation per doubling, as in the plain solve
+            assert n_evals <= 30 + math.ceil(math.log2(lam))
+
+    def test_root_below_the_halving_resolution(self, monkeypatch):
+        # below 2**-67 the 120 halvings of [0, 1] stop short of adjacent
+        # floats, so the replay must reproduce where the cap leaves them
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            (x, g0, gc, cv, move), state = random_subproblem(rng)
+            args = (x, g0, 1e24 * gc, 1e24 * abs(cv), move)
+            new, ref, n_evals, lam = both_duals(monkeypatch, args, state)
+            assert 0.0 < lam < 2.0**-67
+            assert np.array_equal(new, ref)
+            # every variable is clipped between the root and 1, so con is
+            # flat there and the secant steps shrink the bracket ~3x each
+            assert n_evals < 100
+
+    def test_unbracketed_dual_raises(self):
+        # no multiplier makes the step feasible inside the move limits
+        g = GridSpec(3, 3, 1.0, 1.0)
+        x = DensityField(g, np.full(g.n, 0.5))
+        with pytest.raises(DualBisectionFailed):
+            mma_update(x, np.zeros(g.n), np.full(g.n, 1.0), 10.0, 0.05, MmaState(g.n))
+
+    def test_flat_constraint_falls_back_to_full_halvings(self):
+        # con is exactly 0 on [0.25, 0.9]: the plain loop lands on the left
+        # end of that plateau, while the root finder stops wherever it first
+        # meets a zero
+        def con(lam):
+            return max(1.0 - 4.0 * lam, 0.0) if lam <= 0.9 else 0.9 - lam
+
+        assert REPLAYED_DUAL(con) == bisection_dual(con) == 0.25
+
+    def test_lf_run_matches_bisection_in_thirty_evaluations(self, monkeypatch):
+        counts = []
+
+        def checked(con):
+            evals = []
+            lam = counted_replay(con, evals)
+            assert lam == bisection_dual(con)
+            counts.append(len(evals))
+            return lam
+
+        monkeypatch.setattr(topopt_lf, "_dual_multiplier", checked)
+        g = GridSpec(16, 32, 1.0, 2.0)
+        res = lf_optimize(ElasticModel(grid=g), benchmark.cracked_plate_bc(g),
+                          SeedPoint(0.5, 0.5), p_norm=8.0, max_iter=30)
+        assert res.ok and len(counts) == 30
+        assert max(counts) <= 30
 
 
 class TestFilterChainRule:
