@@ -10,13 +10,17 @@ objective differentiable down to void.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cython_lapack
 
 from .errors import EmptySolidSet, GridMismatch, SingularSystem
 from .grid_field import DensityField, GridSpec
@@ -184,25 +188,53 @@ def _nested_dissection(nx: int, ny: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _short_axis_first(nx: int, ny: int) -> np.ndarray:
+    """Node ids of the (nx+1)-by-(ny+1) lattice, numbered along the shorter axis first.
+
+    Neighbouring node lines then differ by min(nx, ny) + 1 in number, so the
+    free-dof matrix is banded with half-bandwidth at most 2 min(nx, ny) + 5.
+    """
+    nnx = nx + 1
+    if nx <= ny:
+        return np.arange(nnx * (ny + 1))
+    return (np.arange(ny + 1)[None, :] * nnx + np.arange(nnx)[:, None]).ravel()
+
+
+# The banded Cholesky costs ~n b^2 flops for n free dofs of half-bandwidth b.
+# On the cracked plate it factored 1.3-2.3x faster than SuperLU under the
+# nested-dissection order with two pool workers factoring at once, up to
+# 140x280 (6.4e9); at 160x320 (1.1e10) the two tied. pbtrf holds the GIL, so
+# two banded factors run one after the other, while SuperLU's run side by
+# side. 50x100 and 100x200 grids factor banded, 200x400 by SuperLU; ROADMAP
+# item 4 holds the measurement.
+_MAX_BAND_WORK = 1e10
+
+
 class _ReducedSystem:
     """Free-dof stiffness pattern in factor order, fixed per grid and constrained set.
 
-    The free dofs are numbered once, in the nested-dissection order that
-    SuperLU factors without reordering: ``free[q]`` is the global dof of
-    unknown q. ``slot`` sends each kept element-matrix entry to its place in
-    the CSC arrays ``indices``/``indptr``, so ``assemble`` is one bincount.
+    The free dofs are numbered once, in the order the factor needs: along the
+    shorter grid axis first when the band's Cholesky work n b^2 is at most
+    ``_MAX_BAND_WORK`` (``band`` is then the half-bandwidth b), otherwise in
+    the nested-dissection order that SuperLU factors without reordering
+    (``band`` is None). ``free[q]`` is the global dof of unknown q. ``slot``
+    sends each kept element-matrix entry to its place in the CSC arrays
+    ``indices``/``indptr``, so ``assemble`` is one bincount; on the banded
+    path ``band_pos`` sends the lower-triangle CSC entries ``band_src`` to
+    their places in LAPACK lower band storage.
     """
 
     def __init__(self, nx: int, ny: int, constrained: np.ndarray):
-        ndof = 2 * (nx + 1) * (ny + 1)
-        nodes = _nested_dissection(nx, ny)
-        order = np.column_stack([2 * nodes, 2 * nodes + 1]).ravel()
-        self.free = order[~np.isin(order, constrained)]
+        edof = _element_dofs(nx, ny)
+        self.free, local = _numbered(_short_axis_first(nx, ny), constrained, edof)
         n = self.n = self.free.size
-        reduced = np.full(ndof, -1, dtype=np.int32)
-        reduced[self.free] = np.arange(n, dtype=np.int32)
+        # every kept entry couples two dofs of one element
+        lowest = np.where(local >= 0, local, n).min(axis=1)
+        b = int(np.max(local.max(axis=1) - lowest, initial=0))
+        self.band = b if n * b * b <= _MAX_BAND_WORK else None
+        if self.band is None:
+            self.free, local = _numbered(_nested_dissection(nx, ny), constrained, edof)
 
-        local = reduced[_element_dofs(nx, ny)]
         rows = np.repeat(local, 8, axis=1).ravel()
         cols = np.tile(local, (1, 8)).ravel()
         self.keep = (rows >= 0) & (cols >= 0)
@@ -213,9 +245,18 @@ class _ReducedSystem:
         self.slot = slot.astype(np.int32)
         self.indices = (keys % n).astype(np.int32)
         self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        shared = [self.free, self.keep, self.slot, self.indices, self.indptr]
+        if self.band is not None:
+            col = keys // n
+            self.band_src = np.flatnonzero(self.indices >= col).astype(np.int32)
+            # entry (i, j), i >= j, sits at row i - j of column j of the
+            # (b + 1, n) Fortran-ordered band
+            src = self.band_src
+            self.band_pos = (col[src] * (b + 1) + self.indices[src] - col[src]).astype(np.int32)
+            shared += [self.band_src, self.band_pos]
         # cached and shared by every later solve (the index arrays by every
         # assembled matrix), so nothing may change them in place
-        for arr in (self.free, self.keep, self.slot, self.indices, self.indptr):
+        for arr in shared:
             arr.flags.writeable = False
 
     def assemble(self, disc: _Discretization, density: np.ndarray) -> sp.csc_matrix:
@@ -223,6 +264,83 @@ class _ReducedSystem:
         vals = np.multiply.outer(e_mod, disc.ke_unit.ravel()).ravel()[self.keep]
         data = np.bincount(self.slot, weights=vals, minlength=self.indices.size)
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+
+def _numbered(nodes: np.ndarray, constrained: np.ndarray, edof: np.ndarray):
+    """Free dofs in the order of ``nodes`` and each element's dofs as unknowns (-1 if fixed)."""
+    order = np.column_stack([2 * nodes, 2 * nodes + 1]).ravel()
+    free = order[~np.isin(order, constrained)]
+    reduced = np.full(order.size, -1, dtype=np.int32)
+    reduced[free] = np.arange(free.size, dtype=np.int32)
+    return free, reduced[edof]
+
+
+def _openblas_thread_setter():
+    """``openblas_set_num_threads_local`` of the OpenBLAS behind scipy.linalg, or None.
+
+    The Cython LAPACK module links that library, and a symbol lookup on it
+    searches the libraries it links. Other BLAS builds lack the symbol.
+    """
+    setter = getattr(ctypes.CDLL(cython_lapack.__file__), "openblas_set_num_threads_local", None)
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+    return setter
+
+
+_SET_BLAS_THREADS = _openblas_thread_setter()
+_BLAS_THREADS_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, and restore its count after.
+
+    pbtrf's BLAS-3 updates round differently when OpenBLAS splits them over
+    threads, so without this a run's results would depend on
+    OPENBLAS_NUM_THREADS. OpenBLAS built on pthreads applies the "local"
+    count to every thread, hence the lock.
+    """
+    if _SET_BLAS_THREADS is None:
+        yield
+        return
+    with _BLAS_THREADS_LOCK:
+        previous = _SET_BLAS_THREADS(1)
+        try:
+            yield
+        finally:
+            _SET_BLAS_THREADS(previous)
+
+
+class _BandCholesky:
+    """LAPACK banded Cholesky (pbtrf) of a ``_ReducedSystem`` matrix with ``band`` set."""
+
+    def __init__(self, system: _ReducedSystem, k_ff: sp.csc_matrix):
+        band = np.zeros((system.n, system.band + 1))
+        band.ravel()[system.band_pos] = k_ff.data[system.band_src]
+        # band.T is the Fortran-ordered (b + 1, n) array pbtrf works in, so
+        # the factor overwrites it instead of copying it
+        with _one_blas_thread():
+            self.cb = sla.cholesky_banded(band.T, overwrite_ab=True, lower=True, check_finite=False)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return sla.cho_solve_banded((self.cb, True), rhs, check_finite=False)
+
+
+def _factorize(system: _ReducedSystem, k_ff: sp.csc_matrix):
+    """Cholesky or LU factor of ``k_ff``, whichever ``system`` was numbered for.
+
+    Raises RuntimeError (SuperLU) or LinAlgError (banded) when the factor fails.
+    """
+    if system.band is not None:
+        return _BandCholesky(system, k_ff)
+    # K_ff is SPD, so diagonal pivots are safe and keep the fill of the
+    # nested-dissection order; SuperLU's default threshold of 1 pivots off
+    # the diagonal on rough designs and stores up to 2.7x the entries. A
+    # singular matrix still fails the factor.
+    return spla.splu(
+        k_ff, permc_spec="NATURAL", options={"SymmetricMode": True, "DiagPivotThresh": 0.0}
+    )
 
 
 @functools.lru_cache(maxsize=8)
@@ -268,16 +386,9 @@ class _Solved:
         f_f = bc.loads[system.free]
         self.system = system
         try:
-            # K_ff is SPD, so diagonal pivots are safe and keep the fill of the
-            # nested-dissection order; SuperLU's default threshold of 1 pivots
-            # off the diagonal on rough designs and stores up to 2.7x the
-            # entries. A singular matrix still fails the factor.
-            self.factor = spla.splu(
-                k_ff, permc_spec="NATURAL",
-                options={"SymmetricMode": True, "DiagPivotThresh": 0.0},
-            )
+            self.factor = _factorize(system, k_ff)
             u_f = self.factor.solve(f_f)
-        except RuntimeError as exc:
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
             raise SingularSystem(str(exc), "factor") from exc
         if not np.all(np.isfinite(u_f)):
             raise SingularSystem("solution contains non-finite entries", "non_finite")

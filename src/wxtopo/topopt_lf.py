@@ -171,6 +171,7 @@ def _dual_multiplier(con: Callable[[float], float]) -> float:
     that point is feasible. Otherwise [0, 1] is doubled until its upper end
     is feasible, halved ``_DUAL_HALVINGS`` times, and the feasible end is
     returned. The halvings are replayed rather than run: Brent's method
+    (``_brent_root``, which also copes with a constant stretch of ``con``)
     locates the sign change first, only the midpoints within a relative
     window of it are evaluated, and the others are decided by monotonicity,
     so the result is the plain loop's float. Near its root ``con`` is
@@ -223,9 +224,20 @@ def _brent_root(f: Callable[[float], float], a: float, b: float) -> float:
     Brent's zeroin (*Algorithms for Minimization without Derivatives*, 1973,
     ch. 4): inverse quadratic or secant steps, bisection when they fail to
     shrink the bracket [b, c] fast enough. It stops early on an exact zero.
+    A dual constraint is constant wherever every variable sits on a move
+    limit, and there zeroin's steps shrink the bracket only a little at a
+    time. So once a new value equals the last one on its side of the root,
+    the steps extrapolate the secant through the last two points on the
+    other side while that halves the bracket every two steps, and otherwise
+    bisect, in log(lam) while the bracket spans more than a factor of 2.
     """
     fa, fb = f(a), f(b)
     c, fc = a, fa
+    # the smallest midpoint the halvings can reach, standing in for lam = 0
+    floor = b * 0.5**_DUAL_HALVINGS
+    seen = {True: [(a, fa)], False: [(b, fb)]}  # points by f > 0, newest last
+    flat = None  # the side where f was seen constant
+    widths = [abs(b - a)] * 2
     # zeroin ends on its own; the cap only bounds the evaluations spent, as a
     # rough root costs the caller a wider replay, not a different result
     for _ in range(2 * _DUAL_HALVINGS):
@@ -237,28 +249,47 @@ def _brent_root(f: Callable[[float], float], a: float, b: float) -> float:
         step = 0.5 * (c - b)
         if abs(step) <= tol or fb == 0.0:
             break
-        if abs(prev_step) >= tol and abs(fa) > abs(fb):
-            cb = c - b
-            if a == c:
-                t1 = fb / fa
-                p, q = cb * t1, 1.0 - t1
-            else:
-                q, t1, t2 = fa / fc, fb / fc, fb / fa
-                p = t2 * (cb * q * (q - t1) - (b - a) * (t1 - 1.0))
-                q = (q - 1.0) * (t1 - 1.0) * (t2 - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if p < 0.75 * cb * q - 0.5 * abs(tol * q) and p < abs(0.5 * prev_step * q):
-                step = p / q
-        if abs(step) < tol:
-            step = math.copysign(tol, step)
+        if flat is not None:
+            x = None
+            near, far = sorted((b, c))
+            pts = seen[not flat]
+            if len(pts) > 1 and pts[-1][1] != pts[-2][1] and far - near < 0.5 * widths[-2]:
+                (x1, y1), (x2, y2) = pts[-2:]
+                x = x2 - y2 * (x2 - x1) / (y2 - y1)
+                if abs(x - x2) < tol:
+                    x = x2 + math.copysign(tol, x - x2)
+            if x is None or not near < x < far:
+                x = math.sqrt(far * max(near, floor)) if far > 2.0 * near else 0.5 * (near + far)
+        else:
+            if abs(prev_step) >= tol and abs(fa) > abs(fb):
+                cb = c - b
+                if a == c:
+                    t1 = fb / fa
+                    p, q = cb * t1, 1.0 - t1
+                else:
+                    q, t1, t2 = fa / fc, fb / fc, fb / fa
+                    p = t2 * (cb * q * (q - t1) - (b - a) * (t1 - 1.0))
+                    q = (q - 1.0) * (t1 - 1.0) * (t2 - 1.0)
+                if p > 0.0:
+                    q = -q
+                else:
+                    p = -p
+                if p < 0.75 * cb * q - 0.5 * abs(tol * q) and p < abs(0.5 * prev_step * q):
+                    step = p / q
+            if abs(step) < tol:
+                step = math.copysign(tol, step)
+            x = b + step
         a, fa = b, fb
-        b += step
-        fb = f(b)
-        if (fb > 0.0 and fc > 0.0) or (fb < 0.0 and fc < 0.0):
+        b, fb = x, f(x)
+        side = seen[fb > 0.0]
+        if side[-1][1] == fb:
+            flat = fb > 0.0
+        elif flat == (fb > 0.0):
+            flat = None
+        side.append((b, fb))
+        if (fb > 0.0 and fc > 0.0) or (fb <= 0.0 and fc <= 0.0):
             c, fc = a, fa
+        widths.append(abs(c - b))
     return b
 
 

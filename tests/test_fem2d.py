@@ -1,6 +1,11 @@
+import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +244,26 @@ def natural_reduced(model, density, bc):
     return k_full[np.ix_(free, free)].tocsc(), free
 
 
+FACTOR_PATHS = ("band", "superlu")
+
+
+@pytest.fixture
+def factor_path(monkeypatch):
+    """``factor_path(p)`` numbers every later system for the banded Cholesky or SuperLU."""
+
+    def use(path):
+        monkeypatch.setattr(fem2d, "_MAX_BAND_WORK", math.inf if path == "band" else 0.0)
+        # cached systems keep the numbering they were built with
+        fem2d._reduced_system_cached.cache_clear()
+
+    yield use
+    fem2d._reduced_system_cached.cache_clear()
+
+
+def on_path(system, path):
+    return (system.band is not None) == (path == "band")
+
+
 GRIDS = [(1, 1), (1, 7), (7, 1), (2, 3), (5, 7), (50, 100)]
 # GridSpec needs two cells per axis, so the solves run on the thinnest grids
 # it allows; with a single cell row the cracked-plate rollers hold one node
@@ -249,15 +274,19 @@ SOLVE_GRIDS = [(2, 2), (2, 7), (7, 2), (2, 3), (5, 7), (50, 100)]
 class TestNestedDissection:
     @pytest.mark.parametrize("nx,ny", GRIDS)
     @pytest.mark.parametrize("rollers", [True, False])
-    def test_visits_every_free_dof_once(self, nx, ny, rollers):
+    def test_visits_every_free_dof_once(self, nx, ny, rollers, factor_path):
         nodes = fem2d._nested_dissection(nx, ny)
         np.testing.assert_array_equal(np.sort(nodes), np.arange((nx + 1) * (ny + 1)))
-        system = fem2d._ReducedSystem(nx, ny, constrained_dofs(nx, ny, rollers))
-        assert system.n == 2 * nodes.size - constrained_dofs(nx, ny, rollers).size
-        np.testing.assert_array_equal(
-            np.sort(system.free),
-            np.setdiff1d(np.arange(2 * nodes.size), constrained_dofs(nx, ny, rollers)),
-        )
+        np.testing.assert_array_equal(np.sort(fem2d._short_axis_first(nx, ny)), np.sort(nodes))
+        for path in FACTOR_PATHS:
+            factor_path(path)
+            system = fem2d._ReducedSystem(nx, ny, constrained_dofs(nx, ny, rollers))
+            assert on_path(system, path)
+            assert system.n == 2 * nodes.size - constrained_dofs(nx, ny, rollers).size
+            np.testing.assert_array_equal(
+                np.sort(system.free),
+                np.setdiff1d(np.arange(2 * nodes.size), constrained_dofs(nx, ny, rollers)),
+            )
 
     def test_separator_goes_last(self):
         # 51 x 101 nodes: the top-level separator is the middle node row
@@ -266,16 +295,19 @@ class TestNestedDissection:
 
     @pytest.mark.parametrize("nx,ny", SOLVE_GRIDS)
     @pytest.mark.parametrize("rollers", [True, False])
-    def test_solve_matches_natural_spsolve(self, nx, ny, rollers, rng):
+    def test_solve_matches_natural_spsolve(self, nx, ny, rollers, rng, factor_path):
         g = GridSpec(nx, ny, 1.0, 2.0)
         model = ElasticModel(grid=g)
         bc = benchmark.cracked_plate_bc(g) if rollers else cantilever_bc(g)
         density = DensityField(g, rng.uniform(0.2, 1.0, g.n))
         k_ff, free = natural_reduced(model, density, bc)
         expected = spla.spsolve(k_ff, bc.loads[free])
-        u = solve_displacement(model, density, bc)
-        assert np.linalg.norm(u[free] - expected) <= 1e-9 * np.linalg.norm(expected)
-        assert np.all(u[bc.all_constrained] == 0.0)
+        for path in FACTOR_PATHS:
+            factor_path(path)
+            u = solve_displacement(model, density, bc)
+            assert on_path(fem2d._reduced_system(g, bc.all_constrained), path)
+            assert np.linalg.norm(u[free] - expected) <= 1e-9 * np.linalg.norm(expected)
+            assert np.all(u[bc.all_constrained] == 0.0)
 
     def test_concurrent_callers_build_once(self, monkeypatch):
         fem2d._reduced_system_cached.cache_clear()
@@ -300,6 +332,76 @@ class TestNestedDissection:
             first, second = pool.map(lookup, range(2))
         assert first is second
         assert built == [(6, 4)]
+
+
+class TestBandedPath:
+    @pytest.mark.parametrize("nx,ny", [(12, 30), (30, 12)])
+    def test_short_axis_first_solve_matches_spsolve(self, nx, ny, rng):
+        g = GridSpec(nx, ny, 1.0, 2.0)
+        model = ElasticModel(grid=g)
+        bc = benchmark.cracked_plate_bc(g)
+        system = fem2d._reduced_system(g, bc.all_constrained)
+        # neighbouring node lines along the long axis are min(nx, ny) + 1 apart
+        assert system.band == 2 * min(nx, ny) + 5
+        i, j = system.free // 2 % (nx + 1), system.free // 2 // (nx + 1)
+        along_short, along_long = (i, j) if nx <= ny else (j, i)
+        assert np.all(np.diff(along_long * (min(nx, ny) + 1) + along_short) >= 0)
+        density = DensityField(g, rng.uniform(0.2, 1.0, g.n))
+        solved = fem2d._Solved(model, density, bc)
+        assert isinstance(solved.factor, fem2d._BandCholesky)
+        k_ff, free = natural_reduced(model, density, bc)
+        expected = spla.spsolve(k_ff, bc.loads[free])
+        assert np.linalg.norm(solved.u[free] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_concurrent_solves_match_serial_and_restore_blas_threads(self, rng):
+        def blas_threads():
+            count = fem2d._SET_BLAS_THREADS(1)
+            fem2d._SET_BLAS_THREADS(count)
+            return count
+
+        g = GridSpec(30, 60, 1.0, 2.0)
+        model = ElasticModel(grid=g)
+        bc = benchmark.cracked_plate_bc(g)
+        fields = [DensityField(g, rng.uniform(0.1, 1.0, g.n)) for _ in range(8)]
+        before = blas_threads() if fem2d._SET_BLAS_THREADS else None
+        serial = [solve_displacement(model, f, bc) for f in fields]
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda f: solve_displacement(model, f, bc), fields))
+        for a, b in zip(serial, threaded):
+            np.testing.assert_array_equal(a, b)
+        if before is not None:
+            assert blas_threads() == before
+
+    def test_factor_does_not_depend_on_blas_threads(self):
+        # on this band (b = 165) pbtrf's BLAS-3 updates round differently
+        # when OpenBLAS runs two threads; runs must stay byte-identical
+        script = (
+            "import hashlib, numpy as np\n"
+            "from wxtopo import benchmark, fem2d\n"
+            "from wxtopo.grid_field import DensityField, GridSpec\n"
+            "g = GridSpec(80, 160, 1.0, 2.0)\n"
+            "d = DensityField(g, (np.random.default_rng(0).random(g.n) < 0.38) * 1.0)\n"
+            "u = fem2d.solve_displacement(fem2d.ElasticModel(grid=g), d,"
+            " benchmark.cracked_plate_bc(g))\n"
+            "print(hashlib.sha256(u.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(fem2d.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=300, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
+
+    def test_factor_follows_the_band_work(self):
+        # the desk and paper2d LF grids and the desk HF grid factor banded,
+        # the paper2d HF grid by SuperLU, in either orientation
+        for nx, ny in [(50, 100), (100, 200), (200, 100), (200, 400), (400, 200)]:
+            system = fem2d._ReducedSystem(nx, ny, constrained_dofs(nx, ny, True))
+            b = 2 * min(nx, ny) + 5
+            assert system.band == (b if system.n * b * b <= fem2d._MAX_BAND_WORK else None)
+            assert (system.band is None) == (max(nx, ny) == 400)
 
 
 class TestReducedAssembly:
@@ -328,18 +430,22 @@ class TestReducedAssembly:
         bc = benchmark.cracked_plate_bc(g)
         density = DensityField(g, rng.uniform(0.2, 1.0, g.n))
         system = fem2d._reduced_system(g, bc.all_constrained)
-        before = [a.copy() for a in (system.slot, system.indices, system.indptr)]
+        assert system.band is not None
+        shared = (system.slot, system.indices, system.indptr, system.band_src, system.band_pos)
+        before = [a.copy() for a in shared]
         first = solve_displacement(model, density, bc)
         second = solve_displacement(model, density, bc)
         np.testing.assert_array_equal(first, second)
         assert fem2d._reduced_system(g, bc.all_constrained) is system
-        for arr, old in zip((system.slot, system.indices, system.indptr), before):
+        for arr, old in zip(shared, before):
             assert not arr.flags.writeable
             np.testing.assert_array_equal(arr, old)
 
-    def test_nested_dissection_fills_less_than_mmd(self):
+    def test_nested_dissection_fills_less_than_mmd(self, factor_path):
+        factor_path("superlu")
         # guards the ordering: the 100x200 cracked plate of a uniform 0.5
-        # design must factor with fewer stored entries than SuperLU's MMD
+        # design, numbered for SuperLU as the larger grids are, must factor
+        # with fewer stored entries than SuperLU's MMD
         g = GridSpec(100, 200, 1.0, 2.0)
         model = ElasticModel(grid=g)
         bc = benchmark.cracked_plate_bc(g)
@@ -349,10 +455,11 @@ class TestReducedAssembly:
         mmd = spla.splu(k_ff, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
         assert nd_nnz < mmd.nnz
 
-    def test_rough_design_keeps_the_uniform_fill(self):
+    def test_rough_design_keeps_the_uniform_fill(self, factor_path):
+        factor_path("superlu")
         # a 38 % random binary design has pivots far below their columns'
         # largest entries; pivoting off the diagonal stores 14.4M entries
-        # here against 5.27M for a uniform design
+        # here against 5.27M for a uniform design (SuperLU numbering)
         g = GridSpec(100, 200, 1.0, 2.0)
         model = ElasticModel(grid=g)
         bc = benchmark.cracked_plate_bc(g)
@@ -386,32 +493,36 @@ class TestBackwardErrorCheck:
         u = solve_displacement(model, density, bc)
         assert np.linalg.norm(u[free] - expected) <= 1e-6 * np.linalg.norm(expected)
 
-    def test_wrong_solution_rejected(self, monkeypatch):
+    def test_wrong_solution_rejected(self, monkeypatch, factor_path):
         model, density = thin_cracked_plate()
         g = model.grid
         bc = benchmark.cracked_plate_bc(g)
-        delta = 1e-6 * np.abs(solve_displacement(model, density, bc)).max()
-        # ux of the node at the top of the bottom-right corner cell, inside
-        # the solid strip along the right edge, as an unknown of the factor
-        node = 1 * (g.nx + 1) + g.nx
-        system = fem2d._reduced_system(g, bc.all_constrained)
-        q = int(np.flatnonzero(system.free == 2 * node)[0])
-        splu = spla.splu
+        factorize = fem2d._factorize
+        for path in FACTOR_PATHS:
+            factor_path(path)
+            monkeypatch.setattr(fem2d, "_factorize", factorize)
+            delta = 1e-6 * np.abs(solve_displacement(model, density, bc)).max()
+            # ux of the node at the top of the bottom-right corner cell, inside
+            # the solid strip along the right edge, as an unknown of the factor
+            node = 1 * (g.nx + 1) + g.nx
+            system = fem2d._reduced_system(g, bc.all_constrained)
+            assert on_path(system, path)
+            q = int(np.flatnonzero(system.free == 2 * node)[0])
 
-        class OffByDelta:
-            # every solve comes back off by delta in unknown q, so the
-            # refinement step cannot remove it
-            def __init__(self, *args, **kwargs):
-                self.lu = splu(*args, **kwargs)
+            class OffByDelta:
+                # every solve comes back off by delta in unknown q, so the
+                # refinement step cannot remove it
+                def __init__(self, *args):
+                    self.factor = factorize(*args)
 
-            def solve(self, rhs):
-                out = self.lu.solve(rhs)
-                out[q] += delta
-                return out
+                def solve(self, rhs):
+                    out = self.factor.solve(rhs)
+                    out[q] += delta
+                    return out
 
-        monkeypatch.setattr(spla, "splu", OffByDelta)
-        with pytest.raises(SingularSystem, match="backward error.*relative residual"):
-            solve_displacement(model, density, bc)
+            monkeypatch.setattr(fem2d, "_factorize", OffByDelta)
+            with pytest.raises(SingularSystem, match="backward error.*relative residual"):
+                solve_displacement(model, density, bc)
 
 
 class TestSolveFailureCause:
@@ -421,14 +532,30 @@ class TestSolveFailureCause:
         self.grid = GridSpec(6, 6, 1.0, 1.0)
         self.model = ElasticModel(grid=self.grid)
 
-    def test_factor(self, monkeypatch):
-        def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+    def test_factor(self, monkeypatch, factor_path):
+        # each path's own failure: pbtrf raises LinAlgError, SuperLU RuntimeError
+        for path, error in zip(FACTOR_PATHS, (np.linalg.LinAlgError, RuntimeError)):
+            factor_path(path)
 
-        monkeypatch.setattr(spla, "splu", singular)
-        with pytest.raises(SingularSystem, match="exactly singular") as info:
+            def singular(system, k_ff):
+                assert on_path(system, path)
+                raise error("Factor is exactly singular")
+
+            monkeypatch.setattr(fem2d, "_factorize", singular)
+            with pytest.raises(SingularSystem, match="exactly singular") as info:
+                solve_displacement(self.model, solid(self.grid), patch_bc(self.grid))
+            assert info.value.cause == "factor"
+
+    @pytest.mark.parametrize("path", FACTOR_PATHS)
+    def test_zero_stiffness(self, monkeypatch, factor_path, path):
+        # every element at zero modulus: K_ff = 0, which neither factor accepts
+        factor_path(path)
+        monkeypatch.setattr(ElasticModel, "simp", lambda self, density: np.zeros_like(density))
+        with pytest.raises(SingularSystem) as info:
             solve_displacement(self.model, solid(self.grid), patch_bc(self.grid))
         assert info.value.cause == "factor"
+        if path == "band":
+            assert "not positive definite" in str(info.value)
 
     def test_rigid_modes(self):
         # a constraint outside the lattice leaves every dof free
@@ -449,19 +576,22 @@ class TestSolveFailureCause:
             solve_displacement(self.model, solid(self.grid), inf_bc)
         assert info.value.cause == "non_finite"
 
-    def test_backward_error(self, monkeypatch):
-        splu = spla.splu
+    def test_backward_error(self, monkeypatch, factor_path):
+        factorize = fem2d._factorize
 
         class OffInFirstUnknown:
-            def __init__(self, *args, **kwargs):
-                self.lu = splu(*args, **kwargs)
+            def __init__(self, *args):
+                self.factor = factorize(*args)
 
             def solve(self, rhs):
-                out = self.lu.solve(rhs)
+                out = self.factor.solve(rhs)
                 out[0] += 1e-3 * np.abs(out).max()
                 return out
 
-        monkeypatch.setattr(spla, "splu", OffInFirstUnknown)
-        with pytest.raises(SingularSystem, match="backward error.*relative residual") as info:
-            solve_displacement(self.model, solid(self.grid), patch_bc(self.grid))
-        assert info.value.cause == "backward_error"
+        monkeypatch.setattr(fem2d, "_factorize", OffInFirstUnknown)
+        for path in FACTOR_PATHS:
+            factor_path(path)
+            with pytest.raises(SingularSystem, match="backward error.*relative residual") as info:
+                solve_displacement(self.model, solid(self.grid), patch_bc(self.grid))
+            assert info.value.cause == "backward_error"
+            assert on_path(fem2d._reduced_system(self.grid, patch_bc(self.grid).all_constrained), path)
