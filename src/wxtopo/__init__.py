@@ -26,7 +26,6 @@ from .fem2d import (
     ElasticModel,
     StressField,
     max_stress,
-    pnorm_sensitivity,
     pnorm_stress,
     solve_displacement,
     von_mises,
@@ -45,7 +44,6 @@ from .hf_eval import DirichletBand, HfConfig, Objectives, binarize, hf_evaluate,
 from .ot import (
     KernelApplier,
     SinkhornReport,
-    TransportPlan,
     exact_ot_lp,
     sinkhorn_barycenter,
     sinkhorn_distance,

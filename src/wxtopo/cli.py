@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 from . import benchmark
-from .config import PRESETS, RunConfig, dump_config, load_config
+from .config import PRESETS, RunConfig, check_config, dump_config, load_config
 from .crossover import wasserstein_crossover
 from .errors import ConfigError, ExtinctPopulation, GridMismatch, WxTopoError
 from .evolve import _fmt, evolve_loop
@@ -48,9 +49,7 @@ def _load(args) -> RunConfig:
 
         cfg = parse_config_text("", preset=args.preset)
     if getattr(args, "seed_rng", None) is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, rng_seed=args.seed_rng)
+        cfg = check_config(replace(cfg, rng_seed=args.seed_rng), "--seed-rng")
     return cfg
 
 

@@ -162,8 +162,12 @@ def parse_config_text(text: str, preset: str = "paper2d", source: str = "<config
     for key, raw in values.items():
         attr, typ = _KEYMAP[key]
         kwargs[attr] = _parse_value(key, raw, typ)
+    return check_config(RunConfig(**kwargs), source)
+
+
+def check_config(cfg: RunConfig, source: str = "<config>") -> RunConfig:
+    """``cfg`` itself once every value is in range; ConfigError naming ``source`` otherwise."""
     try:
-        cfg = RunConfig(**kwargs)
         # the derived objects check their own ranges; building them here
         # reports an out-of-range value before any command starts work
         for build in (cfg.grid, cfg.model, cfg.lf_bounds, cfg.hf, cfg.evolve):

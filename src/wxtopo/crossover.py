@@ -40,6 +40,9 @@ class CrossoverConfig:
             raise ValueError("need 0 < eps_min <= eps_max < inf")
         if not self.tau >= 0:  # NaN fails too
             raise ValueError("need tau >= 0")
+        if self.rng_seed < 0:
+            # numpy's SeedSequence rejects it, after a run has started writing
+            raise ValueError("need rng_seed >= 0")
         if self.max_iter < 1:
             # with no sweep the barycenter is the normalized K 1, the same
             # field whatever the parents

@@ -10,7 +10,6 @@ objective differentiable down to void.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import threading
@@ -206,7 +205,7 @@ def _short_axis_first(nx: int, ny: int) -> np.ndarray:
 # 140x280 (6.4e9); at 160x320 (1.1e10) the two tied. pbtrf holds the GIL, so
 # two banded factors run one after the other, while SuperLU's run side by
 # side. 50x100 and 100x200 grids factor banded, 200x400 by SuperLU; ROADMAP
-# item 4 holds the measurement.
+# item 3 holds the measurement.
 _MAX_BAND_WORK = 1e10
 
 
@@ -275,41 +274,22 @@ def _numbered(nodes: np.ndarray, constrained: np.ndarray, edof: np.ndarray):
     return free, reduced[edof]
 
 
-def _openblas_thread_setter():
-    """``openblas_set_num_threads_local`` of the OpenBLAS behind scipy.linalg, or None.
+@functools.cache
+def _pin_scipy_blas_to_one_thread() -> None:
+    """Hold the OpenBLAS behind scipy.linalg at one thread for the rest of the process.
 
-    The Cython LAPACK module links that library, and a symbol lookup on it
-    searches the libraries it links. Other BLAS builds lack the symbol.
+    pbtrf's BLAS-3 updates round differently when OpenBLAS splits them over
+    threads, so without this a run's results would depend on
+    OPENBLAS_NUM_THREADS. numpy links a separate OpenBLAS, whose count this
+    leaves alone. OpenBLAS built on pthreads applies the "local" count to
+    every thread. The Cython LAPACK module links scipy's library, and a
+    symbol lookup on it searches the libraries it links; other BLAS builds
+    lack the symbol.
     """
     setter = getattr(ctypes.CDLL(cython_lapack.__file__), "openblas_set_num_threads_local", None)
     if setter is not None:
         setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-    return setter
-
-
-_SET_BLAS_THREADS = _openblas_thread_setter()
-_BLAS_THREADS_LOCK = threading.Lock()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread, and restore its count after.
-
-    pbtrf's BLAS-3 updates round differently when OpenBLAS splits them over
-    threads, so without this a run's results would depend on
-    OPENBLAS_NUM_THREADS. OpenBLAS built on pthreads applies the "local"
-    count to every thread, hence the lock.
-    """
-    if _SET_BLAS_THREADS is None:
-        yield
-        return
-    with _BLAS_THREADS_LOCK:
-        previous = _SET_BLAS_THREADS(1)
-        try:
-            yield
-        finally:
-            _SET_BLAS_THREADS(previous)
+        setter(1)
 
 
 class _BandCholesky:
@@ -320,8 +300,8 @@ class _BandCholesky:
         band.ravel()[system.band_pos] = k_ff.data[system.band_src]
         # band.T is the Fortran-ordered (b + 1, n) array pbtrf works in, so
         # the factor overwrites it instead of copying it
-        with _one_blas_thread():
-            self.cb = sla.cholesky_banded(band.T, overwrite_ab=True, lower=True, check_finite=False)
+        _pin_scipy_blas_to_one_thread()
+        self.cb = sla.cholesky_banded(band.T, overwrite_ab=True, lower=True, check_finite=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return sla.cho_solve_banded((self.cb, True), rhs, check_finite=False)
@@ -530,17 +510,3 @@ def pnorm_objective_grad(
     dke = model.penal * d ** (model.penal - 1.0) * (model.e0 - model.e_min)
     implicit = -dke * np.einsum("ij,ij->i", psi_e, ku)
     return j_val, explicit + implicit
-
-
-def pnorm_sensitivity(
-    model: ElasticModel,
-    density: DensityField,
-    bc: BoundaryConditions,
-    p_norm: float,
-) -> np.ndarray:
-    """Gradient of the aggregated stress wrt element densities."""
-    return pnorm_objective_grad(model, density, bc, p_norm)[1]
-
-
-def compliance(bc: BoundaryConditions, u: np.ndarray) -> float:
-    return float(bc.loads @ u)

@@ -94,6 +94,7 @@ class TestConfig:
         ("grid.lx = inf", "'grid.lx'.*not a finite number"),
         ("grid.ly = -inf", "'grid.ly'.*not a finite number"),
         ("evolve.hv_rel_tol = nan", "'evolve.hv_rel_tol'.*not a finite number"),
+        ("rng.seed = -1", "rng_seed >= 0"),
     ])
     def test_out_of_range_value_rejected(self, line, problem):
         with pytest.raises(ConfigError, match=problem):
@@ -135,7 +136,7 @@ class TestSeedCommand:
         assert code == 2
         assert not (tmp_path / "o").exists()  # no writes before validation
 
-    def test_out_of_range_config_exits_2(self, tmp_path):
+    def test_out_of_range_config_exits_2(self, tiny_cfg, tmp_path):
         bad = tmp_path / "bad.cfg"
         for line in ("grid.nx = 1", "lf.n_s1 = 0", "lf.max_iter = 0", "lf.move = -0.1",
                      "lf.p_norm = 1.5", "xo.tau = nan"):
@@ -143,6 +144,10 @@ class TestSeedCommand:
             code = main(["seed", "--config", str(bad), "--out", str(tmp_path / "o")])
             assert code == 2, line
             assert not (tmp_path / "o").exists(), line
+        code = main(["seed", "--config", str(tiny_cfg), "--out", str(tmp_path / "o"),
+                     "--seed-rng", "-1"])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_overwrite_guard(self, tiny_cfg, tmp_path):
         out = tmp_path / "seeds"
@@ -201,6 +206,15 @@ class TestEvolveCommand:
                  "--out", str(run), "--operator", op]
             ) == 0
             assert (run / "history.csv").exists()
+
+    def test_negative_rng_seed_exits_2(self, tiny_cfg, tmp_path):
+        seeds = self.run_seed(tiny_cfg, tmp_path)
+        run = tmp_path / "run"
+        assert main(
+            ["evolve", "--config", str(tiny_cfg), "--seeds", str(seeds),
+             "--out", str(run), "--seed-rng", "-1"]
+        ) == 2
+        assert not run.exists()
 
     def test_too_few_seeds_exits_2(self, tiny_cfg, tmp_path):
         empty = tmp_path / "empty"

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cython_lapack
 
 from wxtopo import (
     BoundaryConditions,
@@ -19,14 +21,13 @@ from wxtopo import (
     GridSpec,
     StressField,
     max_stress,
-    pnorm_sensitivity,
     pnorm_stress,
     solve_displacement,
     von_mises,
 )
 from wxtopo import benchmark, fem2d
 from wxtopo.errors import EmptySolidSet, GridMismatch, SingularSystem
-from wxtopo.fem2d import compliance, pnorm_objective_grad
+from wxtopo.fem2d import pnorm_objective_grad
 
 from conftest import cantilever_bc, patch_bc, symmetric_patch_bc
 
@@ -78,12 +79,12 @@ class TestSolveDisplacement:
         model = ElasticModel(grid=g)
         bc = cantilever_bc(g)
         base = rng.uniform(0.2, 0.8, g.n)
-        c0 = compliance(bc, solve_displacement(model, DensityField(g, base), bc))
+        c0 = bc.loads @ solve_displacement(model, DensityField(g, base), bc)
         for _ in range(5):
             e = rng.integers(0, g.n)
             bumped = base.copy()
             bumped[e] = min(1.0, bumped[e] + 0.2)
-            c1 = compliance(bc, solve_displacement(model, DensityField(g, bumped), bc))
+            c1 = bc.loads @ solve_displacement(model, DensityField(g, bumped), bc)
             assert c1 <= c0 + 1e-12
 
 
@@ -184,7 +185,7 @@ class TestPnormSensitivity:
         bc = cantilever_bc(g)
         x = rng.uniform(0.3, 0.9, g.n)
         p = 8.0
-        grad = pnorm_sensitivity(model, DensityField(g, x), bc, p)
+        grad = pnorm_objective_grad(model, DensityField(g, x), bc, p)[1]
 
         def objective(xv):
             return pnorm_objective_grad(model, DensityField(g, xv), bc, p)[0]
@@ -201,7 +202,7 @@ class TestPnormSensitivity:
         g = GridSpec(6, 4, 1.0, 1.0)
         model = ElasticModel(grid=g)
         bc = symmetric_patch_bc(g)
-        grad = pnorm_sensitivity(model, DensityField(g, np.full(g.n, 0.6)), bc, 8.0)
+        grad = pnorm_objective_grad(model, DensityField(g, np.full(g.n, 0.6)), bc, 8.0)[1]
         mat = grad.reshape(g.ny, g.nx)
         np.testing.assert_allclose(mat, mat[:, ::-1], atol=1e-9)
 
@@ -353,37 +354,50 @@ class TestBandedPath:
         expected = spla.spsolve(k_ff, bc.loads[free])
         assert np.linalg.norm(solved.u[free] - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    def test_concurrent_solves_match_serial_and_restore_blas_threads(self, rng):
-        def blas_threads():
-            count = fem2d._SET_BLAS_THREADS(1)
-            fem2d._SET_BLAS_THREADS(count)
-            return count
-
+    def test_concurrent_solves_match_serial_and_pin_scipy_blas(self, rng):
         g = GridSpec(30, 60, 1.0, 2.0)
         model = ElasticModel(grid=g)
         bc = benchmark.cracked_plate_bc(g)
         fields = [DensityField(g, rng.uniform(0.1, 1.0, g.n)) for _ in range(8)]
-        before = blas_threads() if fem2d._SET_BLAS_THREADS else None
         serial = [solve_displacement(model, f, bc) for f in fields]
         with ThreadPoolExecutor(4) as pool:
             threaded = list(pool.map(lambda f: solve_displacement(model, f, bc), fields))
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a, b)
-        if before is not None:
-            assert blas_threads() == before
+        # a banded factor holds scipy's OpenBLAS at one thread from then on
+        get = getattr(ctypes.CDLL(cython_lapack.__file__), "scipy_openblas_get_num_threads", None)
+        if get is not None:
+            assert get() == 1
 
     def test_factor_does_not_depend_on_blas_threads(self):
         # on this band (b = 165) pbtrf's BLAS-3 updates round differently
-        # when OpenBLAS runs two threads; runs must stay byte-identical
+        # when OpenBLAS runs two threads; runs must stay byte-identical, on
+        # a pool thread as on the main thread, and numpy's own OpenBLAS,
+        # which the barycenter's GEMMs use, keeps its thread count
         script = (
-            "import hashlib, numpy as np\n"
+            "import ctypes, hashlib, numpy as np\n"
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "from numpy._core import _multiarray_umath\n"
+            "from scipy.linalg import cython_lapack\n"
             "from wxtopo import benchmark, fem2d\n"
             "from wxtopo.grid_field import DensityField, GridSpec\n"
+            "def threads(module, name):\n"
+            "    get = getattr(ctypes.CDLL(module.__file__), name, None)\n"
+            "    return -1 if get is None else get()\n"
+            "def numpy_threads():\n"
+            "    return threads(_multiarray_umath, 'scipy_openblas_get_num_threads64_')\n"
             "g = GridSpec(80, 160, 1.0, 2.0)\n"
             "d = DensityField(g, (np.random.default_rng(0).random(g.n) < 0.38) * 1.0)\n"
-            "u = fem2d.solve_displacement(fem2d.ElasticModel(grid=g), d,"
+            "def digest():\n"
+            "    u = fem2d.solve_displacement(fem2d.ElasticModel(grid=g), d,"
             " benchmark.cracked_plate_bc(g))\n"
-            "print(hashlib.sha256(u.tobytes()).hexdigest())\n"
+            "    return hashlib.sha256(u.tobytes()).hexdigest()\n"
+            "before = numpy_threads()\n"
+            "with ThreadPoolExecutor(1) as pool:\n"
+            "    print(pool.submit(digest).result())\n"
+            "print(digest())\n"
+            "print(before, numpy_threads())\n"
+            "print(threads(cython_lapack, 'scipy_openblas_get_num_threads'))\n"
         )
         src = str(Path(fem2d.__file__).resolve().parents[1])
         digests = set()
@@ -391,7 +405,11 @@ class TestBandedPath:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
             out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                  text=True, timeout=300, check=True)
-            digests.add(out.stdout.strip())
+            pool_digest, main_digest, numpy_counts, scipy_count = out.stdout.split("\n")[:4]
+            digests.update((pool_digest, main_digest))
+            before, after = map(int, numpy_counts.split())
+            assert after == before  # both -1 where numpy's BLAS lacks the symbol
+            assert int(scipy_count) in (1, -1)
         assert len(digests) == 1
 
     def test_factor_follows_the_band_work(self):

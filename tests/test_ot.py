@@ -11,7 +11,7 @@ from wxtopo import (
 )
 from wxtopo import ot
 from wxtopo.errors import BadWeights, GridMismatch, SizeLimit
-from wxtopo.ot import sinkhorn_plan, squared_distance_matrix
+from wxtopo.ot import squared_distance_matrix
 
 from conftest import gaussian_field, lp_barycenter
 
@@ -74,26 +74,40 @@ class TestSinkhornDistance:
         assert np.isfinite(rep.value)
 
     def test_marginal_feasibility_of_plan(self, rng):
-        # converged scaling leaves both marginals within tau in L1
+        # converged scalings leave both marginals of the plan diag(u) K diag(v),
+        # u * (K v) and v * (K u), within tau in L1
         g = GridSpec(4, 4, 1.0, 1.0)
         tau = 1e-9
+        kern = KernelApplier(g, 0.05, "dense")
         for _ in range(5):
             a = random_field(g, rng)
             b = random_field(g, rng)
-            plan, rep = sinkhorn_plan(a, b, epsilon=0.05, tau=tau)
-            assert rep.converged
-            assert np.abs(plan.row_sums() - a.masses).sum() < tau
-            assert np.abs(plan.col_sums() - b.masses).sum() < tau
-            assert np.all(plan.plan >= 0) and np.all(np.isfinite(plan.plan))
+            u, v, _, _, converged = ot._scaling_loop(
+                kern, a.masses, b.masses, tau, ot.DEFAULT_MAX_ITER
+            )
+            assert converged
+            assert np.abs(u * kern.apply(v) - a.masses).sum() < tau
+            assert np.abs(v * kern.apply(u) - b.masses).sum() < tau
+            for scaling in (u, v):
+                assert np.all(scaling >= 0) and np.all(np.isfinite(scaling))
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_must_be_positive(self, max_iter, rng):
+        g = GridSpec(4, 4, 1.0, 1.0)
+        a = random_field(g, rng)
+        b = random_field(g, rng)
+        with pytest.raises(ValueError, match="max_iter >= 1"):
+            sinkhorn_distance(a, b, epsilon=0.05, tau=1e-6, max_iter=max_iter)
 
 
 class TestKernelModes:
-    def test_dense_matrix_matches_definition(self):
+    def test_dense_kernel_matches_definition(self):
         g = GridSpec(5, 4, 1.0, 0.8)
         eps = 0.1
         kern = KernelApplier(g, eps, "dense")
         expected = np.exp(-squared_distance_matrix(g) / eps)
-        np.testing.assert_allclose(kern.dense_matrix(), expected, rtol=1e-12)
+        # row i of the stacked product is K e_i, column i of the symmetric K
+        np.testing.assert_allclose(kern.apply(np.eye(g.n)), expected, rtol=1e-12)
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2])
     def test_dense_conv_agree(self, eps, rng):
@@ -212,12 +226,43 @@ class TestBarycenter:
         assert np.isfinite(rep.final_residual)
 
 
-def blobs(g, centers):
+def blobs(g, centers, sigma=2.0):
     out = []
     for cx, cy in centers:
-        f = gaussian_field(g, cx, cy, 2.0)
+        f = gaussian_field(g, cx, cy, sigma)
         out.append(ProbabilityField(g, f.values / f.values.sum()))
     return out
+
+
+class TestCappedCost:
+    """The axis floor caps the squared ground cost at R^2 ~ 345 eps.
+
+    Two Gaussian blobs D cells apart on a strip: well within the cap the
+    barycenter moves the mass to the midpoint; once fading (R^2 / 2) costs
+    less than meeting there (D^2 / 4), it leaves the two blobs in place and
+    little or no mass reaches the midpoint. The values pin today's operator,
+    a capped-cost barycenter.
+    """
+
+    @pytest.mark.parametrize(
+        "spacing,ratio,midpoint_mass",
+        [
+            (10, 0.1, 0.407),
+            (10, 1.0, 0.755),
+            (30, 0.1, 0.000),
+            (30, 1.0, 0.207),
+            (50, 0.1, 0.000),
+            (50, 1.0, 0.000),
+        ],
+    )
+    def test_midpoint_mass(self, spacing, ratio, midpoint_mass):
+        g = GridSpec(80, 8, 80.0, 8.0)  # h = 1
+        xs, _ = g.cell_centers()
+        pair = blobs(g, [(40.0 - spacing / 2, 4.0), (40.0 + spacing / 2, 4.0)], sigma=2.5)
+        out, rep = sinkhorn_barycenter(pair, [0.5, 0.5], ratio * g.hx**2, 1e-9)
+        assert rep.converged
+        mass = out.masses[np.abs(xs - 40.0) <= 3.0].sum()
+        assert mass == pytest.approx(midpoint_mass, abs=1e-3)
 
 
 class TestLongRunReference:
