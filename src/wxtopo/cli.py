@@ -169,7 +169,6 @@ def cmd_morph(args) -> int:
     targets = [out / f"morph_{i:02d}.dfld" for i in range(len(weights))]
     _check_overwrite(targets + [out / "morph_reports.csv"], args.force)
     out.mkdir(parents=True, exist_ok=True)
-    reports = []
     with (out / "morph_reports.csv").open("w") as fh:
         fh.write("weight,file,iterations,residual,converged\n")
         for i, (w, target) in enumerate(zip(weights, targets)):
@@ -179,9 +178,7 @@ def cmd_morph(args) -> int:
                 max_iter=args.max_iter, report_sink=sink,
             )
             write_field(child, target)
-            rep = sink[0]
-            reports.append(rep)
-            fh.write(f"{_fmt(w)},{target.name},{rep.csv_row()}\n")
+            fh.write(f"{_fmt(w)},{target.name},{sink[0].csv_row()}\n")
     print(f"wrote {len(weights)} morphs into {out}")
     return EXIT_OK
 

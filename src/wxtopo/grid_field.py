@@ -185,13 +185,6 @@ def read_field(path) -> DensityField:
     return DensityField(grid, values)
 
 
-def write_field_csv(field: DensityField, path) -> None:
-    """CSV export: ny rows of nx comma-separated values, row j = height index j."""
-    with open(path, "w") as fh:
-        for row in field.as_matrix():
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def resample(field: DensityField, target: GridSpec) -> DensityField:
     """Bilinear interpolation of cell-center values onto a new grid.
 

@@ -76,9 +76,9 @@ class Objectives:
         object.__setattr__(self, "j", np.asarray(self.j, dtype=np.float64).ravel())
 
 
-def infeasible_sentinel(n_obj: int = 2) -> Objectives:
+def infeasible_sentinel() -> Objectives:
     """Structurally broken candidate: +inf objectives, flagged infeasible."""
-    return Objectives(np.full(n_obj, INFEASIBLE_SENTINEL), False)
+    return Objectives(np.full(2, INFEASIBLE_SENTINEL), False)
 
 
 def _dirichlet_cells(grid: GridSpec, band: DirichletBand) -> np.ndarray:

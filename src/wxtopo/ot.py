@@ -252,6 +252,14 @@ def _l1_gap(scale, product, target, buf) -> float:
     return np.abs(buf, out=buf).sum()
 
 
+def _check_stopping(tau, max_iter) -> None:
+    # NaN fails every comparison, so a NaN tau would never stop the sweep
+    if not tau >= 0:
+        raise ValueError(f"need tau >= 0, got {tau!r}")
+    if max_iter < 1:
+        raise ValueError("need max_iter >= 1")
+
+
 def _scaling_loop(kern, av, bv, tau, max_iter):
     """Alternating scaling until the max marginal residual drops below tau."""
     u = np.ones_like(av)
@@ -290,8 +298,7 @@ def sinkhorn_distance(
     Non-convergence within ``max_iter`` is reported, not raised.
     """
     check_same_grid(a, b)
-    if max_iter < 1:
-        raise ValueError("need max_iter >= 1")
+    _check_stopping(tau, max_iter)
     kern = KernelApplier(a.grid, epsilon, mode)
     u, v, iterations, residual, converged = _scaling_loop(
         kern, a.masses, b.masses, tau, max_iter
@@ -330,8 +337,7 @@ def sinkhorn_barycenter(
     """
     if len(inputs) < 2:
         raise ValueError("need at least two input fields")
-    if max_iter < 1:
-        raise ValueError("need max_iter >= 1")
+    _check_stopping(tau, max_iter)
     grid = check_same_grid(*inputs)
     lam = np.asarray(weights, dtype=np.float64)
     if lam.size != len(inputs):

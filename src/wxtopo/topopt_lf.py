@@ -159,88 +159,35 @@ _ASY_DECR = 0.7
 _ALBEFA = 0.1
 _RAA0 = 1e-5
 _EPS_MIX = 1e-3
-_DUAL_HALVINGS = 120
-_REPLAY_WINDOWS = (1e-13, 1e-10)
 
 
 def _dual_multiplier(con: Callable[[float], float]) -> float:
-    """The multiplier a bracket-and-bisect dual solve returns, in ~20 evaluations.
+    """The multiplier of the one-constraint dual: the feasible end of a zeroin bracket.
 
     ``con(lam)`` is the subproblem constraint at the primal minimizer for
     multiplier ``lam``, non-increasing in ``lam``. The multiplier is 0 when
     that point is feasible. Otherwise [0, 1] is doubled until its upper end
-    is feasible, halved ``_DUAL_HALVINGS`` times, and the feasible end is
-    returned. The halvings are replayed rather than run: Brent's method
-    (``_brent_root``, which also copes with a constant stretch of ``con``)
-    locates the sign change first, only the midpoints within a relative
-    window of it are evaluated, and the others are decided by monotonicity,
-    so the result is the plain loop's float. Near its root ``con`` is
-    rounding noise, which can be wider than the first window; a replayed
-    bracket that fails its sign check is replayed in the next wider window,
-    and after the last in full.
+    is feasible, and Brent's zeroin (*Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4) shrinks that bracket [b, c] around the sign
+    change: inverse quadratic or secant steps, bisection when they fail to
+    shrink it fast enough, until it is 4 ulps wide or ``con(b)`` is exactly
+    0. The end where ``con <= 0`` is returned, so the step is feasible even
+    where ``con`` is rounding noise near its root.
     """
-    known: dict[float, float] = {}
-
-    def cached(lam: float) -> float:
-        value = known.get(lam)
-        if value is None:
-            value = known[lam] = con(lam)
-        return value
-
-    if cached(0.0) <= 0.0:
+    fc = con(0.0)
+    if fc <= 0.0:
         return 0.0
-    lo, hi = 0.0, 1.0
+    c, b = 0.0, 1.0
     for _ in range(200):
-        if cached(hi) <= 0.0:
+        fb = con(b)
+        if fb <= 0.0:
             break
-        lo, hi = hi, hi * 2.0
+        c, fc, b = b, fb, b * 2.0
     else:
         raise DualBisectionFailed("could not bracket the dual multiplier")
 
-    root = _brent_root(cached, lo, hi)
-    for window in _REPLAY_WINDOWS:
-        reach = window * root
-        a, b = _halve(
-            lo, hi, lambda mid: mid > root + reach or (mid >= root - reach and cached(mid) <= 0.0)
-        )
-        if cached(a) > 0.0 >= cached(b):
-            return b
-    return _halve(lo, hi, lambda mid: cached(mid) <= 0.0)[1]
-
-
-def _halve(lo: float, hi: float, feasible: Callable[[float], bool]) -> tuple[float, float]:
-    for _ in range(_DUAL_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-def _brent_root(f: Callable[[float], float], a: float, b: float) -> float:
-    """A root of ``f`` in [a, b], f(a) > 0 >= f(b), to within 4 ulps.
-
-    Brent's zeroin (*Algorithms for Minimization without Derivatives*, 1973,
-    ch. 4): inverse quadratic or secant steps, bisection when they fail to
-    shrink the bracket [b, c] fast enough. It stops early on an exact zero.
-    A dual constraint is constant wherever every variable sits on a move
-    limit, and there zeroin's steps shrink the bracket only a little at a
-    time. So once a new value equals the last one on its side of the root,
-    the steps extrapolate the secant through the last two points on the
-    other side while that halves the bracket every two steps, and otherwise
-    bisect, in log(lam) while the bracket spans more than a factor of 2.
-    """
-    fa, fb = f(a), f(b)
-    c, fc = a, fa
-    # the smallest midpoint the halvings can reach, standing in for lam = 0
-    floor = b * 0.5**_DUAL_HALVINGS
-    seen = {True: [(a, fa)], False: [(b, fb)]}  # points by f > 0, newest last
-    flat = None  # the side where f was seen constant
-    widths = [abs(b - a)] * 2
-    # zeroin ends on its own; the cap only bounds the evaluations spent, as a
-    # rough root costs the caller a wider replay, not a different result
-    for _ in range(2 * _DUAL_HALVINGS):
+    a, fa = c, fc
+    while True:
         prev_step = b - a
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
@@ -248,49 +195,29 @@ def _brent_root(f: Callable[[float], float], a: float, b: float) -> float:
         tol = 2.0 * sys.float_info.epsilon * abs(b)
         step = 0.5 * (c - b)
         if abs(step) <= tol or fb == 0.0:
-            break
-        if flat is not None:
-            x = None
-            near, far = sorted((b, c))
-            pts = seen[not flat]
-            if len(pts) > 1 and pts[-1][1] != pts[-2][1] and far - near < 0.5 * widths[-2]:
-                (x1, y1), (x2, y2) = pts[-2:]
-                x = x2 - y2 * (x2 - x1) / (y2 - y1)
-                if abs(x - x2) < tol:
-                    x = x2 + math.copysign(tol, x - x2)
-            if x is None or not near < x < far:
-                x = math.sqrt(far * max(near, floor)) if far > 2.0 * near else 0.5 * (near + far)
-        else:
-            if abs(prev_step) >= tol and abs(fa) > abs(fb):
-                cb = c - b
-                if a == c:
-                    t1 = fb / fa
-                    p, q = cb * t1, 1.0 - t1
-                else:
-                    q, t1, t2 = fa / fc, fb / fc, fb / fa
-                    p = t2 * (cb * q * (q - t1) - (b - a) * (t1 - 1.0))
-                    q = (q - 1.0) * (t1 - 1.0) * (t2 - 1.0)
-                if p > 0.0:
-                    q = -q
-                else:
-                    p = -p
-                if p < 0.75 * cb * q - 0.5 * abs(tol * q) and p < abs(0.5 * prev_step * q):
-                    step = p / q
-            if abs(step) < tol:
-                step = math.copysign(tol, step)
-            x = b + step
+            return b if fb <= 0.0 else c
+        if abs(prev_step) >= tol and abs(fa) > abs(fb):
+            cb = c - b
+            if a == c:
+                t1 = fb / fa
+                p, q = cb * t1, 1.0 - t1
+            else:
+                q, t1, t2 = fa / fc, fb / fc, fb / fa
+                p = t2 * (cb * q * (q - t1) - (b - a) * (t1 - 1.0))
+                q = (q - 1.0) * (t1 - 1.0) * (t2 - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if p < 0.75 * cb * q - 0.5 * abs(tol * q) and p < abs(0.5 * prev_step * q):
+                step = p / q
+        if abs(step) < tol:
+            step = math.copysign(tol, step)
         a, fa = b, fb
-        b, fb = x, f(x)
-        side = seen[fb > 0.0]
-        if side[-1][1] == fb:
-            flat = fb > 0.0
-        elif flat == (fb > 0.0):
-            flat = None
-        side.append((b, fb))
-        if (fb > 0.0 and fc > 0.0) or (fb <= 0.0 and fc <= 0.0):
+        b += step
+        fb = con(b)
+        if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
-        widths.append(abs(c - b))
-    return b
 
 
 def mma_update(
@@ -304,7 +231,9 @@ def mma_update(
     """One moving-asymptotes step for a single inequality constraint.
 
     Builds the standard convex separable approximation around the current
-    point, then solves its dual in the single multiplier (see
+    point (Svanberg, IJNME 24, 1987), then solves its dual in the single
+    multiplier by a doubling bracket and Brent's zeroin, taking the end of
+    the final bracket where the subproblem constraint holds (see
     ``_dual_multiplier``). Every variable stays within ``move`` of its current
     value and inside [0, 1].
     """

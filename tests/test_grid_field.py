@@ -14,7 +14,7 @@ from wxtopo import (
     write_field,
 )
 from wxtopo.errors import AllZeroField, ConstantField, ExtentMismatch, FormatError
-from wxtopo.grid_field import mass_centroid, write_field_csv
+from wxtopo.grid_field import mass_centroid
 
 
 def grid22():
@@ -150,15 +150,6 @@ class TestFieldFile:
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             read_field(p)
-
-    def test_csv_export(self, tmp_path):
-        g = GridSpec(3, 2, 1.0, 1.0)
-        f = DensityField(g, [0, 0.5, 1, 0.25, 0.75, 0.125])
-        path = tmp_path / "f.csv"
-        write_field_csv(f, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == g.ny
-        assert [float(v) for v in lines[0].split(",")] == [0, 0.5, 1]
 
 
 class TestResample:

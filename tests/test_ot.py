@@ -100,6 +100,17 @@ class TestSinkhornDistance:
             sinkhorn_distance(a, b, epsilon=0.05, tau=1e-6, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), -1e-6])
+def test_library_calls_reject_a_nan_or_negative_tau(tau, rng):
+    # such a tau never stops the sweep, so every max_iter sweep would run
+    g = GridSpec(4, 4, 1.0, 1.0)
+    a, b = random_field(g, rng), random_field(g, rng)
+    with pytest.raises(ValueError, match="tau >= 0"):
+        sinkhorn_distance(a, b, epsilon=0.05, tau=tau)
+    with pytest.raises(ValueError, match="tau >= 0"):
+        sinkhorn_barycenter([a, b], [0.5, 0.5], 0.05, tau)
+
+
 class TestKernelModes:
     def test_dense_kernel_matches_definition(self):
         g = GridSpec(5, 4, 1.0, 0.8)
