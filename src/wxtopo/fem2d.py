@@ -16,7 +16,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cython_lapack
@@ -200,13 +199,13 @@ def _short_axis_first(nx: int, ny: int) -> np.ndarray:
 
 
 # The banded Cholesky costs ~n b^2 flops for n free dofs of half-bandwidth b.
-# On the cracked plate it factored 1.3-2.3x faster than SuperLU under the
-# nested-dissection order with two pool workers factoring at once, up to
-# 140x280 (6.4e9); at 160x320 (1.1e10) the two tied. pbtrf holds the GIL, so
-# two banded factors run one after the other, while SuperLU's run side by
-# side. 50x100 and 100x200 grids factor banded, 200x400 by SuperLU; ROADMAP
-# item 3 holds the measurement.
-_MAX_BAND_WORK = 1e10
+# On the cracked plate, with two pool workers factoring at once, it factored
+# 1.4-3.3x faster than SuperLU under the nested-dissection order up to
+# 180x360 (1.7e10). Its band also stores more than SuperLU's factor: 382
+# against ~243 MB at 180x360, 523 against ~308 MB at 200x400 (2.6e10). The
+# paper's 200x400 HF grid factors by SuperLU: two of its bands at once would
+# take over 1 GB. ROADMAP item 3 holds the measurement.
+_MAX_BAND_WORK = 2e10
 
 
 class _ReducedSystem:
@@ -292,19 +291,70 @@ def _pin_scipy_blas_to_one_thread() -> None:
         setter(1)
 
 
+_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def _lapack(name: str, *argtypes):
+    """LAPACK routine ``name`` from scipy's Cython table as a GIL-releasing ctypes call.
+
+    scipy.linalg's f2py wrappers hold the GIL for the length of a LAPACK call,
+    which stalls every other pool thread; a CFUNCTYPE call releases it.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    capsule_name = _CAPSULE_NAME(capsule)
+    return ctypes.CFUNCTYPE(None, *argtypes)(_CAPSULE_POINTER(capsule, capsule_name))
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+# dpbtrf(uplo, n, kd, ab, ldab, info)
+_DPBTRF = _lapack("dpbtrf", ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT, _INT)
+# dpbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info)
+_DPBTRS = _lapack(
+    "dpbtrs", ctypes.c_char_p, _INT, _INT, _INT, ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _INT
+)
+
+
+def _check_info(info: ctypes.c_int, routine: str) -> None:
+    if info.value > 0:
+        raise np.linalg.LinAlgError(f"{info.value}-th leading minor not positive definite")
+    if info.value < 0:
+        raise ValueError(f"illegal value in {-info.value}-th argument of {routine}")
+
+
 class _BandCholesky:
-    """LAPACK banded Cholesky (pbtrf) of a ``_ReducedSystem`` matrix with ``band`` set."""
+    """LAPACK banded Cholesky (pbtrf) of a ``_ReducedSystem`` matrix with ``band`` set.
+
+    The factor and each solve release the GIL, so pool threads factor side by
+    side and the other workers' Python code runs meanwhile.
+    """
 
     def __init__(self, system: _ReducedSystem, k_ff: sp.csc_matrix):
-        band = np.zeros((system.n, system.band + 1))
+        n, b = system.n, system.band
+        band = np.zeros((n, b + 1))
         band.ravel()[system.band_pos] = k_ff.data[system.band_src]
-        # band.T is the Fortran-ordered (b + 1, n) array pbtrf works in, so
-        # the factor overwrites it instead of copying it
+        # the C-ordered (n, b + 1) array is the Fortran-ordered (b + 1, n)
+        # lower band pbtrf works in, so the factor overwrites it in place
+        self.n, self.b, self.band = ctypes.c_int(n), ctypes.c_int(b), band
+        self.ldab, self.ldb = ctypes.c_int(b + 1), ctypes.c_int(max(n, 1))
+        info = ctypes.c_int()
         _pin_scipy_blas_to_one_thread()
-        self.cb = sla.cholesky_banded(band.T, overwrite_ab=True, lower=True, check_finite=False)
+        _DPBTRF(b"L", self.n, self.b, band.ctypes.data, self.ldab, info)
+        _check_info(info, "pbtrf")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return sla.cho_solve_banded((self.cb, True), rhs, check_finite=False)
+        x = np.array(rhs, dtype=np.float64)  # pbtrs overwrites its right-hand side
+        if x.shape != (self.n.value,):
+            raise ValueError(f"right-hand side of shape {x.shape} for {self.n.value} unknowns")
+        info = ctypes.c_int()
+        _DPBTRS(b"L", self.n, self.b, ctypes.c_int(1), self.band.ctypes.data, self.ldab,
+                x.ctypes.data, self.ldb, info)
+        _check_info(info, "pbtrs")
+        return x
 
 
 def _factorize(system: _ReducedSystem, k_ff: sp.csc_matrix):

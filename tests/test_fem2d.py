@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cython_lapack
@@ -245,6 +246,16 @@ def natural_reduced(model, density, bc):
     return k_full[np.ix_(free, free)].tocsc(), free
 
 
+def rough_band_system(nx, ny):
+    """Banded reduced system and matrix of a 38 % random binary cracked plate."""
+    g = GridSpec(nx, ny, 1.0, 2.0)
+    bc = benchmark.cracked_plate_bc(g)
+    density = (np.random.default_rng(0).random(g.n) < 0.38).astype(float)
+    system = fem2d._reduced_system(g, bc.all_constrained)
+    assert system.band is not None
+    return system, system.assemble(fem2d._discretization(ElasticModel(grid=g)), density)
+
+
 FACTOR_PATHS = ("band", "superlu")
 
 
@@ -411,6 +422,49 @@ class TestBandedPath:
             assert after == before  # both -1 where numpy's BLAS lacks the symbol
             assert int(scipy_count) in (1, -1)
         assert len(digests) == 1
+
+    @pytest.mark.parametrize("nx,ny", [(50, 100), (100, 200)])
+    def test_factor_and_solve_match_scipy_bit_for_bit(self, nx, ny):
+        # the desk LF and HF systems; scipy.linalg's f2py pbtrf and pbtrs
+        # are the oracle for the ctypes calls
+        system, k_ff = rough_band_system(nx, ny)
+        band = np.zeros((system.n, system.band + 1))
+        band.ravel()[system.band_pos] = k_ff.data[system.band_src]
+        expected = sla.cholesky_banded(band.T, lower=True, check_finite=False)
+        factor = fem2d._BandCholesky(system, k_ff)
+        np.testing.assert_array_equal(factor.band.T, expected)
+        rhs = np.random.default_rng(1).standard_normal(system.n)
+        kept = rhs.copy()
+        np.testing.assert_array_equal(
+            factor.solve(rhs), sla.cho_solve_banded((expected, True), rhs, check_finite=False)
+        )
+        np.testing.assert_array_equal(rhs, kept)
+
+    def test_factor_releases_the_gil(self):
+        # the main thread ticks while another thread factors the 100x200 band
+        # (n = 40 000, b = 205); a factor that held the GIL would stall the
+        # loop for the whole call
+        system, k_ff = rough_band_system(100, 200)
+        fem2d._BandCholesky(system, k_ff)  # pins the BLAS before timing
+        span = []
+
+        def factor():
+            t0 = time.perf_counter()
+            fem2d._BandCholesky(system, k_ff)
+            span.extend([t0, time.perf_counter()])
+
+        worker = threading.Thread(target=factor)
+        ticks = [time.perf_counter()]
+        worker.start()
+        while worker.is_alive():
+            ticks.append(time.perf_counter())
+        worker.join(timeout=60)
+        assert not worker.is_alive() and len(span) == 2
+        t0, t1 = span
+        ticks = np.array(ticks + [time.perf_counter()])
+        inside = ticks[(ticks >= t0) & (ticks <= t1)]
+        gaps = np.diff(np.concatenate([[t0], inside, [t1]]))
+        assert gaps.max() < 0.5 * (t1 - t0)
 
     def test_factor_follows_the_band_work(self):
         # the desk and paper2d LF grids and the desk HF grid factor banded,
