@@ -7,6 +7,7 @@ Exit codes: 0 ok, 2 config or validation error, 3 overwrite guard,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 from dataclasses import replace
@@ -159,8 +160,8 @@ def cmd_morph(args) -> int:
         raise ConfigError(f"bad weight list {args.weights!r}") from exc
     if not weights or any(not 0.0 <= w <= 1.0 for w in weights):
         raise ConfigError("weights must lie in [0, 1]")
-    if not args.epsilon > 0:
-        raise ConfigError(f"--epsilon must be positive, got {args.epsilon!r}")
+    if not 0 < args.epsilon < math.inf:
+        raise ConfigError(f"--epsilon must be positive and finite, got {args.epsilon!r}")
     if not args.tau >= 0:
         raise ConfigError(f"--tau must be >= 0, got {args.tau!r}")
     if args.max_iter < 1:

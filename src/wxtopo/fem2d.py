@@ -209,20 +209,23 @@ _MAX_BAND_WORK = 2e10
 
 
 class _ReducedSystem:
-    """Free-dof stiffness pattern in factor order, fixed per grid and constrained set.
+    """Free-dof stiffness pattern in factor order, per grid, element matrix and constrained set.
 
     The free dofs are numbered once, in the order the factor needs: along the
     shorter grid axis first when the band's Cholesky work n b^2 is at most
     ``_MAX_BAND_WORK`` (``band`` is then the half-bandwidth b), otherwise in
     the nested-dissection order that SuperLU factors without reordering
-    (``band`` is None). ``free[q]`` is the global dof of unknown q. ``slot``
-    sends each kept element-matrix entry to its place in the CSC arrays
-    ``indices``/``indptr``, so ``assemble`` is one bincount; on the banded
-    path ``band_pos`` sends the lower-triangle CSC entries ``band_src`` to
-    their places in LAPACK lower band storage.
+    (``band`` is None). ``free[q]`` is the global dof of unknown q. Entry
+    (q, e) of ``scatter`` is the unit-modulus element-matrix entry of element
+    e that lands on entry q of the CSC arrays ``indices``/``indptr``, so
+    ``assemble`` is one product ``scatter @ E(density)``. ``scatter`` is
+    stored by element columns, so that product adds each entry's terms in
+    ascending element order, bit for bit as an element-order bincount would.
+    On the banded path ``band_pos`` sends the lower-triangle CSC entries
+    ``band_src`` to their places in LAPACK lower band storage.
     """
 
-    def __init__(self, nx: int, ny: int, constrained: np.ndarray):
+    def __init__(self, nx: int, ny: int, ke_unit: np.ndarray, constrained: np.ndarray):
         edof = _element_dofs(nx, ny)
         self.free, local = _numbered(_short_axis_first(nx, ny), constrained, edof)
         n = self.n = self.free.size
@@ -235,15 +238,27 @@ class _ReducedSystem:
 
         rows = np.repeat(local, 8, axis=1).ravel()
         cols = np.tile(local, (1, 8)).ravel()
-        self.keep = (rows >= 0) & (cols >= 0)
+        keep = (rows >= 0) & (cols >= 0)
         # column-major keys: sorted unique keys are the CSC entries in order
-        keys = cols[self.keep].astype(np.int64) * n + rows[self.keep]
+        keys = cols[keep].astype(np.int64) * n + rows[keep]
         keys, slot = np.unique(keys, return_inverse=True)
         del rows, cols, local
-        self.slot = slot.astype(np.int32)
         self.indices = (keys % n).astype(np.int32)
         self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-        shared = [self.free, self.keep, self.slot, self.indices, self.indptr]
+        # column e holds element e's kept unit-modulus entries at their CSC
+        # entries, so the product adds each entry's terms in element order
+        keep = keep.reshape(nx * ny, 64)
+        self.scatter = sp.csc_matrix(
+            (
+                np.broadcast_to(ke_unit.ravel(), keep.shape)[keep],
+                slot.astype(np.int32),
+                np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32),
+            ),
+            shape=(keys.size, nx * ny),
+        )
+        del keep, slot
+        shared = [self.free, self.indices, self.indptr,
+                  self.scatter.data, self.scatter.indices, self.scatter.indptr]
         if self.band is not None:
             col = keys // n
             self.band_src = np.flatnonzero(self.indices >= col).astype(np.int32)
@@ -257,10 +272,8 @@ class _ReducedSystem:
         for arr in shared:
             arr.flags.writeable = False
 
-    def assemble(self, disc: _Discretization, density: np.ndarray) -> sp.csc_matrix:
-        e_mod = disc.model.simp(density)
-        vals = np.multiply.outer(e_mod, disc.ke_unit.ravel()).ravel()[self.keep]
-        data = np.bincount(self.slot, weights=vals, minlength=self.indices.size)
+    def assemble(self, model: ElasticModel, density: np.ndarray) -> sp.csc_matrix:
+        data = self.scatter @ model.simp(density)
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
@@ -374,19 +387,26 @@ def _factorize(system: _ReducedSystem, k_ff: sp.csc_matrix):
 
 
 @functools.lru_cache(maxsize=8)
-def _reduced_system_cached(nx: int, ny: int, constrained: bytes) -> _ReducedSystem:
-    return _ReducedSystem(nx, ny, np.frombuffer(constrained, dtype=np.int64))
+def _reduced_system_cached(
+    nx: int, ny: int, ke_unit: bytes, constrained: bytes
+) -> _ReducedSystem:
+    return _ReducedSystem(
+        nx, ny, np.frombuffer(ke_unit), np.frombuffer(constrained, dtype=np.int64)
+    )
 
 
 _REDUCED_LOCK = threading.Lock()
 
 
-def _reduced_system(grid: GridSpec, constrained: np.ndarray) -> _ReducedSystem:
+def _reduced_system(model: ElasticModel, constrained: np.ndarray) -> _ReducedSystem:
+    """The cached system of ``model``'s grid and unit element matrix and ``constrained``."""
+    g, ke_unit = model.grid, _discretization(model).ke_unit
     # the lock keeps concurrent pool threads from each building the same
-    # entry, whose transient is as large as one assembly
+    # entry, whose build holds several times the finished entry (~340 MB
+    # at 200x400)
     with _REDUCED_LOCK:
         return _reduced_system_cached(
-            grid.nx, grid.ny, np.asarray(constrained, dtype=np.int64).tobytes()
+            g.nx, g.ny, ke_unit.tobytes(), np.asarray(constrained, dtype=np.int64).tobytes()
         )
 
 
@@ -409,10 +429,10 @@ class _Solved:
         if density.grid != model.grid or bc.grid != model.grid:
             raise GridMismatch("model, density and boundary conditions must share a grid")
         disc = _discretization(model)
-        system = _reduced_system(model.grid, bc.all_constrained)
+        system = _reduced_system(model, bc.all_constrained)
         if system.n == disc.ndof:
             raise SingularSystem("no constrained dofs; rigid modes present", "factor")
-        k_ff = system.assemble(disc, density.values)
+        k_ff = system.assemble(model, density.values)
         f_f = bc.loads[system.free]
         self.system = system
         try:

@@ -9,8 +9,10 @@ starting designs the evolutionary stage feeds on.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -33,7 +35,8 @@ class FilterKernel:
     Weights are w = 1 - dist/radius over cells within ``radius`` of each
     center, normalized per row; a constant field is therefore reproduced
     exactly and the operator is linear, so the gradient chain rule is just
-    multiplication by the transpose.
+    multiplication by the transpose. The matrix is read-only, so one kernel
+    can serve every run and thread that filters at its radius.
     """
 
     grid: GridSpec
@@ -43,7 +46,10 @@ class FilterKernel:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("filter radius must be positive")
-        object.__setattr__(self, "_matrix", _build_filter(self.grid, self.radius))
+        matrix = _build_filter(self.grid, self.radius)
+        for arr in (matrix.data, matrix.indices, matrix.indptr):
+            arr.flags.writeable = False
+        object.__setattr__(self, "_matrix", matrix)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self._matrix @ values
@@ -65,8 +71,8 @@ def _build_filter(grid: GridSpec, radius: float) -> sp.csr_matrix:
             if dist > radius:
                 continue
             w = 1.0 - dist / radius
-            src_i = cells_i[max(0, -di): grid.nx - max(0, di)]
-            src_j = cells_j[max(0, -dj): grid.ny - max(0, dj)]
+            src_i = cells_i[max(0, -di): max(0, grid.nx - di)]
+            src_j = cells_j[max(0, -dj): max(0, grid.ny - dj)]
             if src_i.size == 0 or src_j.size == 0:
                 continue
             jj, ii = np.meshgrid(src_j, src_i, indexing="ij")
@@ -82,6 +88,26 @@ def _build_filter(grid: GridSpec, radius: float) -> sp.csr_matrix:
     norm = np.asarray(mat.sum(axis=1)).ravel()
     inv = sp.diags(1.0 / norm)
     return (inv @ mat).tocsr()
+
+
+@functools.lru_cache(maxsize=2)
+def _filter_kernel_cached(grid: GridSpec, radius: float) -> FilterKernel:
+    return FilterKernel(grid, radius)
+
+
+_KERNEL_LOCK = threading.Lock()
+
+
+def _filter_kernel(grid: GridSpec, radius: float) -> FilterKernel:
+    """The shared kernel of ``radius`` on ``grid``.
+
+    A seed lattice runs s1-major, so its concurrent runs filter at one or two
+    radii and two entries keep every kernel in use. The lock keeps pool
+    threads from each building the same kernel (~97 MB at the paper's
+    largest radius on its 100x200 grid).
+    """
+    with _KERNEL_LOCK:
+        return _filter_kernel_cached(grid, radius)
 
 
 def density_filter(kernel: FilterKernel, fld: DensityField) -> DensityField:
@@ -315,7 +341,7 @@ def lf_optimize(
     grid = model.grid
     radius = bounds.radius(seed)
     vol_bound = bounds.volume(seed)
-    kernel = FilterKernel(grid, radius)
+    kernel = _filter_kernel(grid, radius)
     cell_v = grid.hx * grid.hy * model.thickness
     total_v = cell_v * grid.n
 
@@ -324,6 +350,7 @@ def lf_optimize(
     history: list[float] = []
     j_ref = None
     filtered = density_filter(kernel, x)
+    grad_con = kernel.chain(np.full(grid.n, cell_v))
     for _ in range(max_iter):
         j_val, grad_f = pnorm_objective_grad(model, filtered, bc, p_norm)
         history.append(j_val)
@@ -331,7 +358,6 @@ def lf_optimize(
             j_ref = j_val if j_val > 0 else 1.0
         grad_obj = kernel.chain(grad_f) / j_ref
         g_con = cell_v * filtered.values.sum() - vol_bound * total_v
-        grad_con = kernel.chain(np.full(grid.n, cell_v))
         x = mma_update(x, grad_obj, grad_con, g_con, move, state)
         filtered = density_filter(kernel, x)
 

@@ -26,7 +26,7 @@ from wxtopo import (
     solve_displacement,
     von_mises,
 )
-from wxtopo import benchmark, fem2d
+from wxtopo import benchmark, fem2d, topopt_lf
 from wxtopo.errors import EmptySolidSet, GridMismatch, SingularSystem
 from wxtopo.fem2d import pnorm_objective_grad
 
@@ -246,14 +246,20 @@ def natural_reduced(model, density, bc):
     return k_full[np.ix_(free, free)].tocsc(), free
 
 
+def unit_ke():
+    """A unit-modulus element matrix, for systems built on grids GridSpec does not take."""
+    return fem2d._discretization(ElasticModel(grid=GridSpec(2, 2, 1.0, 1.0))).ke_unit
+
+
 def rough_band_system(nx, ny):
     """Banded reduced system and matrix of a 38 % random binary cracked plate."""
     g = GridSpec(nx, ny, 1.0, 2.0)
     bc = benchmark.cracked_plate_bc(g)
     density = (np.random.default_rng(0).random(g.n) < 0.38).astype(float)
-    system = fem2d._reduced_system(g, bc.all_constrained)
+    model = ElasticModel(grid=g)
+    system = fem2d._reduced_system(model, bc.all_constrained)
     assert system.band is not None
-    return system, system.assemble(fem2d._discretization(ElasticModel(grid=g)), density)
+    return system, system.assemble(model, density)
 
 
 FACTOR_PATHS = ("band", "superlu")
@@ -292,7 +298,7 @@ class TestNestedDissection:
         np.testing.assert_array_equal(np.sort(fem2d._short_axis_first(nx, ny)), np.sort(nodes))
         for path in FACTOR_PATHS:
             factor_path(path)
-            system = fem2d._ReducedSystem(nx, ny, constrained_dofs(nx, ny, rollers))
+            system = fem2d._ReducedSystem(nx, ny, unit_ke(), constrained_dofs(nx, ny, rollers))
             assert on_path(system, path)
             assert system.n == 2 * nodes.size - constrained_dofs(nx, ny, rollers).size
             np.testing.assert_array_equal(
@@ -317,33 +323,56 @@ class TestNestedDissection:
         for path in FACTOR_PATHS:
             factor_path(path)
             u = solve_displacement(model, density, bc)
-            assert on_path(fem2d._reduced_system(g, bc.all_constrained), path)
+            assert on_path(fem2d._reduced_system(model, bc.all_constrained), path)
             assert np.linalg.norm(u[free] - expected) <= 1e-9 * np.linalg.norm(expected)
             assert np.all(u[bc.all_constrained] == 0.0)
 
     def test_concurrent_callers_build_once(self, monkeypatch):
+        # the system (with its scatter matrix) and each radius's filter
+        # kernel are built by the first caller while the others wait
         fem2d._reduced_system_cached.cache_clear()
-        built = []
+        topopt_lf._filter_kernel_cached.cache_clear()
+        built, filters = [], []
         init = fem2d._ReducedSystem.__init__
+        build_filter = topopt_lf._build_filter
 
         def slow_init(self, *args):
             built.append(args[:2])
             time.sleep(0.05)  # widen the window in which a second caller could miss
             init(self, *args)
 
+        def slow_filter(grid, radius):
+            filters.append(radius)
+            time.sleep(0.05)
+            return build_filter(grid, radius)
+
         monkeypatch.setattr(fem2d._ReducedSystem, "__init__", slow_init)
+        monkeypatch.setattr(topopt_lf, "_build_filter", slow_filter)
         g = GridSpec(6, 4, 1.0, 1.0)
+        model = ElasticModel(grid=g)
         bc = patch_bc(g)
-        start = threading.Barrier(2)
+        radii = (0.3, 0.3, 0.5, 0.5)  # more threads than cores
+        start = threading.Barrier(len(radii), timeout=30)
 
-        def lookup(_):
+        def lookup(radius):
             start.wait()
-            return fem2d._reduced_system(g, bc.all_constrained)
+            return (fem2d._reduced_system(model, bc.all_constrained),
+                    topopt_lf._filter_kernel(g, radius))
 
-        with ThreadPoolExecutor(2) as pool:
-            first, second = pool.map(lookup, range(2))
-        assert first is second
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(radii)) as pool:
+                found = list(pool.map(lookup, radii, timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        systems, kernels = zip(*found)
+        assert all(system is systems[0] for system in systems)
         assert built == [(6, 4)]
+        assert kernels[0] is kernels[1] and kernels[2] is kernels[3]
+        assert [k.radius for k in kernels] == list(radii)
+        assert sorted(filters) == [0.3, 0.5]
+        topopt_lf._filter_kernel_cached.cache_clear()
 
 
 class TestBandedPath:
@@ -352,7 +381,7 @@ class TestBandedPath:
         g = GridSpec(nx, ny, 1.0, 2.0)
         model = ElasticModel(grid=g)
         bc = benchmark.cracked_plate_bc(g)
-        system = fem2d._reduced_system(g, bc.all_constrained)
+        system = fem2d._reduced_system(model, bc.all_constrained)
         # neighbouring node lines along the long axis are min(nx, ny) + 1 apart
         assert system.band == 2 * min(nx, ny) + 5
         i, j = system.free // 2 % (nx + 1), system.free // 2 // (nx + 1)
@@ -470,7 +499,7 @@ class TestBandedPath:
         # the desk and paper2d LF grids and the desk HF grid factor banded,
         # the paper2d HF grid by SuperLU, in either orientation
         for nx, ny in [(50, 100), (100, 200), (200, 100), (200, 400), (400, 200)]:
-            system = fem2d._ReducedSystem(nx, ny, constrained_dofs(nx, ny, True))
+            system = fem2d._ReducedSystem(nx, ny, unit_ke(), constrained_dofs(nx, ny, True))
             b = 2 * min(nx, ny) + 5
             assert system.band == (b if system.n * b * b <= fem2d._MAX_BAND_WORK else None)
             assert (system.band is None) == (max(nx, ny) == 400)
@@ -483,8 +512,8 @@ class TestReducedAssembly:
         bc = benchmark.cracked_plate_bc(g)
         density = DensityField(g, rng.uniform(0.0, 1.0, g.n))
         natural, free = natural_reduced(model, density, bc)
-        system = fem2d._reduced_system(g, bc.all_constrained)
-        k_ff = system.assemble(fem2d._discretization(model), density.values)
+        system = fem2d._reduced_system(model, bc.all_constrained)
+        k_ff = system.assemble(model, density.values)
         np.testing.assert_array_equal(np.sort(system.free), free)
         # the natural free block with its rows and columns in factor order
         q = np.searchsorted(free, system.free)
@@ -501,17 +530,77 @@ class TestReducedAssembly:
         model = ElasticModel(grid=g)
         bc = benchmark.cracked_plate_bc(g)
         density = DensityField(g, rng.uniform(0.2, 1.0, g.n))
-        system = fem2d._reduced_system(g, bc.all_constrained)
+        system = fem2d._reduced_system(model, bc.all_constrained)
         assert system.band is not None
-        shared = (system.slot, system.indices, system.indptr, system.band_src, system.band_pos)
+        kernel = topopt_lf._filter_kernel(g, 2.5 * g.hx)
+        scatter, filt = system.scatter, kernel._matrix
+        shared = (system.indices, system.indptr, system.band_src, system.band_pos,
+                  scatter.data, scatter.indices, scatter.indptr,
+                  filt.data, filt.indices, filt.indptr)
         before = [a.copy() for a in shared]
         first = solve_displacement(model, density, bc)
         second = solve_displacement(model, density, bc)
         np.testing.assert_array_equal(first, second)
-        assert fem2d._reduced_system(g, bc.all_constrained) is system
+        filtered = topopt_lf.density_filter(kernel, density)
+        kernel.chain(filtered.values)
+        assert fem2d._reduced_system(model, bc.all_constrained) is system
+        assert topopt_lf._filter_kernel(g, 2.5 * g.hx) is kernel
         for arr, old in zip(shared, before):
             assert not arr.flags.writeable
             np.testing.assert_array_equal(arr, old)
+        with pytest.raises(ValueError, match="read-only"):
+            filt.data[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            scatter.data[0] = 0.0
+
+    def test_models_on_one_grid_keep_their_own_systems(self, rng):
+        # the cached system is keyed by the element matrix, so models that
+        # differ in nu or thickness on one grid never share a scatter matrix
+        g = GridSpec(8, 12, 1.0, 2.0)
+        bc = benchmark.cracked_plate_bc(g)
+        models = [ElasticModel(grid=g), ElasticModel(grid=g, nu=0.2),
+                  ElasticModel(grid=g, thickness=0.5)]
+        density = DensityField(g, rng.uniform(0.2, 1.0, g.n))
+        systems = [fem2d._reduced_system(m, bc.all_constrained) for m in models]
+        assert len({id(s) for s in systems}) == len(models)
+        for _ in range(2):  # interleaved, after every system is cached
+            for model, system in zip(models, systems):
+                natural, free = natural_reduced(model, density, bc)
+                assert fem2d._reduced_system(model, bc.all_constrained) is system
+                expected = spla.spsolve(natural, bc.loads[free])
+                u = solve_displacement(model, density, bc)
+                assert np.linalg.norm(u[free] - expected) <= 1e-12 * np.linalg.norm(expected)
+                q = np.searchsorted(free, system.free)
+                k_ff = system.assemble(model, density.values)
+                diff = (k_ff - natural[q][:, q]).tocsc()
+                assert np.abs(diff.data).max(initial=0.0) <= 1e-15 * np.abs(natural.data).max()
+
+    @pytest.mark.parametrize("path, nx, ny, rollers", [
+        ("band", 20, 40, True), ("superlu", 20, 40, True), ("superlu", 9, 14, False),
+    ])
+    def test_scatter_matches_element_order_bincount(self, factor_path, path, nx, ny, rollers):
+        # oracle: the assembly the scatter product replaced, every kept
+        # element-matrix entry scaled and summed by bincount in element order
+        factor_path(path)
+        g = GridSpec(nx, ny, 1.0, 2.0)
+        model = ElasticModel(grid=g, nu=0.27)
+        bc = benchmark.cracked_plate_bc(g) if rollers else cantilever_bc(g)
+        system = fem2d._reduced_system(model, bc.all_constrained)
+        assert on_path(system, path)
+        disc = fem2d._discretization(model)
+        unknown = np.full(disc.ndof, -1)
+        unknown[system.free] = np.arange(system.n)
+        local = unknown[disc.edof]
+        rows = np.repeat(local, 8, axis=1).ravel()
+        cols = np.tile(local, (1, 8)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        keys, slot = np.unique(cols[keep] * system.n + rows[keep], return_inverse=True)
+        np.testing.assert_array_equal(system.indices, keys % system.n)
+        rng = np.random.default_rng(3)
+        for density in (rng.random(g.n), (rng.random(g.n) < 0.4) * 1.0, np.full(g.n, 0.5)):
+            vals = np.multiply.outer(model.simp(density), disc.ke_unit.ravel()).ravel()[keep]
+            expected = np.bincount(slot, weights=vals, minlength=keys.size)
+            np.testing.assert_array_equal(system.assemble(model, density).data, expected)
 
     def test_nested_dissection_fills_less_than_mmd(self, factor_path):
         factor_path("superlu")
@@ -577,7 +666,7 @@ class TestBackwardErrorCheck:
             # ux of the node at the top of the bottom-right corner cell, inside
             # the solid strip along the right edge, as an unknown of the factor
             node = 1 * (g.nx + 1) + g.nx
-            system = fem2d._reduced_system(g, bc.all_constrained)
+            system = fem2d._reduced_system(model, bc.all_constrained)
             assert on_path(system, path)
             q = int(np.flatnonzero(system.free == 2 * node)[0])
 
@@ -666,4 +755,5 @@ class TestSolveFailureCause:
             with pytest.raises(SingularSystem, match="backward error.*relative residual") as info:
                 solve_displacement(self.model, solid(self.grid), patch_bc(self.grid))
             assert info.value.cause == "backward_error"
-            assert on_path(fem2d._reduced_system(self.grid, patch_bc(self.grid).all_constrained), path)
+            system = fem2d._reduced_system(self.model, patch_bc(self.grid).all_constrained)
+            assert on_path(system, path)

@@ -68,6 +68,13 @@ class TestDensityFilter:
         ref = brute_force_filter(g, values, 0.6)
         np.testing.assert_allclose(out.values, ref, atol=1e-12)
 
+    def test_radius_wider_than_the_grid_matches_brute_force(self, rng):
+        # offsets of a whole grid width or more reach no cell
+        g = GridSpec(6, 4, 1.0, 1.0)
+        values = rng.random(g.n)
+        out = density_filter(FilterKernel(g, 1.5), DensityField(g, values))
+        np.testing.assert_allclose(out.values, brute_force_filter(g, values, 1.5), atol=1e-12)
+
     def test_grid_mismatch(self):
         kern = FilterKernel(GridSpec(4, 4, 1, 1), 0.3)
         f = DensityField(GridSpec(4, 4, 2, 2), np.zeros(16))
