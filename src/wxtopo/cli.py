@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import shutil
 import sys
 import traceback
 from dataclasses import replace
@@ -28,6 +29,8 @@ EXIT_CONFIG = 2
 EXIT_OVERWRITE = 3
 EXIT_EXTINCT = 4
 EXIT_INTERNAL = 5
+
+SEED_FILES = "lf_*.dfld"
 
 
 class _OverwriteGuard(Exception):
@@ -62,7 +65,9 @@ def cmd_seed(args) -> int:
     cfg = _load(args)
     out = Path(args.out)
     manifest = out / "manifest.csv"
-    _check_overwrite([manifest], args.force)
+    # seed files of an earlier sweep would join this one's in evolve
+    stale = sorted(out.glob(SEED_FILES))
+    _check_overwrite([manifest, *stale], args.force)
     grid = cfg.grid()
     results = seed_sweep(
         cfg.model(),
@@ -75,6 +80,8 @@ def cmd_seed(args) -> int:
         move=cfg.lf_move,
         workers=args.workers,
     )
+    for path in stale:
+        path.unlink()
     out.mkdir(parents=True, exist_ok=True)
     _write_resolved(cfg, out)
     ok = 0
@@ -102,9 +109,11 @@ def cmd_seed(args) -> int:
 def cmd_evolve(args) -> int:
     cfg = _load(args)
     out = Path(args.out)
-    _check_overwrite([out / "history.csv"], args.force)
+    # a longer earlier run leaves checkpoints and front fields this one would not replace
+    stale = [out / "checkpoints", out / "pareto"]
+    _check_overwrite([out / "history.csv", *stale], args.force)
     seeds_dir = Path(args.seeds)
-    seed_files = sorted(seeds_dir.glob("lf_*.dfld"))
+    seed_files = sorted(seeds_dir.glob(SEED_FILES))
     if len(seed_files) < 2:
         raise ConfigError(f"{seeds_dir} holds {len(seed_files)} seed fields, need >= 2")
     seeds = [read_field(p) for p in seed_files]
@@ -120,6 +129,8 @@ def cmd_evolve(args) -> int:
     def evaluator(field):
         return hf_evaluate(field, model, bc_ref, hf_cfg)
 
+    for path in stale:
+        shutil.rmtree(path, ignore_errors=True)
     out.mkdir(parents=True, exist_ok=True)
     _write_resolved(cfg, out)
     population, history = evolve_loop(

@@ -112,16 +112,15 @@ def render_report(run_dir) -> list[Path]:
     outputs.append(hv_svg)
 
     series = {}
-    cdir = run_dir / "checkpoints"
-    if cdir.is_dir():
-        gen_dirs = sorted(cdir.glob("gen_*"))
-        if gen_dirs:
-            for label, gdir in (("initial", gen_dirs[0]), ("final", gen_dirs[-1])):
-                rows = _read_csv(gdir / "objectives.csv")
-                series[label] = (
-                    [float(r["J1"]) for r in rows],
-                    [float(r["J2"]) for r in rows],
-                )
+    # the generations history.csv records, whatever else checkpoints/ holds
+    for label, gen in (("initial", gens[0]), ("final", gens[-1])):
+        objectives = run_dir / "checkpoints" / f"gen_{gen:04d}" / "objectives.csv"
+        if objectives.exists():
+            rows = _read_csv(objectives)
+            series[label] = (
+                [float(r["J1"]) for r in rows],
+                [float(r["J2"]) for r in rows],
+            )
     if not series:
         series["final"] = ([], [])
     if all(len(xs) == 0 for xs, _ in series.values()):

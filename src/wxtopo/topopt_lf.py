@@ -9,15 +9,13 @@ starting designs the evolutionary stage feeds on.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+from scipy import ndimage
 
 from ._pool import parallel_map
 from .errors import DualBisectionFailed, GridMismatch
@@ -30,84 +28,43 @@ LF_MAX_ITER_DEFAULT = 150
 
 @dataclass(frozen=True, eq=False)
 class FilterKernel:
-    """Linear-hat neighborhood filter, precomputed as a sparse row-stochastic map.
+    """Linear-hat neighborhood filter, applied as a stencil correlation.
 
     Weights are w = 1 - dist/radius over cells within ``radius`` of each
-    center, normalized per row; a constant field is therefore reproduced
-    exactly and the operator is linear, so the gradient chain rule is just
-    multiplication by the transpose. The matrix is read-only, so one kernel
-    can serve every run and thread that filters at its radius.
+    center, normalized by their in-grid sum ``norm``; a constant field is
+    therefore reproduced exactly. This is the ``conv2(x, h) ./ conv2(ones, h)``
+    filter of the 88-line code (Andreassen et al., SMO 43, 2011). The stencil
+    is point-symmetric, so the gradient chain rule, the transpose, is the same
+    correlation applied after the normalization.
     """
 
     grid: GridSpec
     radius: float
-    _matrix: sp.csr_matrix = field(init=False, repr=False)
+    _stencil: np.ndarray = field(init=False, repr=False)
+    _norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("filter radius must be positive")
-        matrix = _build_filter(self.grid, self.radius)
-        for arr in (matrix.data, matrix.indices, matrix.indptr):
-            arr.flags.writeable = False
-        object.__setattr__(self, "_matrix", matrix)
+        g = self.grid
+        # offsets of a whole grid width or more reach no cell
+        mi = min(int(math.floor(self.radius / g.hx)), g.nx - 1)
+        mj = min(int(math.floor(self.radius / g.hy)), g.ny - 1)
+        dj, di = np.mgrid[-mj: mj + 1, -mi: mi + 1]
+        stencil = np.maximum(0.0, 1.0 - np.hypot(di * g.hx, dj * g.hy) / self.radius)
+        object.__setattr__(self, "_stencil", stencil)
+        object.__setattr__(self, "_norm", self._correlate(np.ones(g.n)))
+
+    def _correlate(self, values: np.ndarray) -> np.ndarray:
+        cells = np.asarray(values, dtype=np.float64).reshape(self.grid.ny, self.grid.nx)
+        return ndimage.correlate(cells, self._stencil, mode="constant").ravel()
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return self._matrix @ values
+        return self._correlate(values) / self._norm
 
     def chain(self, grad: np.ndarray) -> np.ndarray:
         """Pull a gradient wrt filtered values back to raw design variables."""
-        return self._matrix.T @ grad
-
-
-def _build_filter(grid: GridSpec, radius: float) -> sp.csr_matrix:
-    mi = int(math.floor(radius / grid.hx))
-    mj = int(math.floor(radius / grid.hy))
-    cells_i = np.arange(grid.nx)
-    cells_j = np.arange(grid.ny)
-    rows, cols, vals = [], [], []
-    for dj in range(-mj, mj + 1):
-        for di in range(-mi, mi + 1):
-            dist = math.hypot(di * grid.hx, dj * grid.hy)
-            if dist > radius:
-                continue
-            w = 1.0 - dist / radius
-            src_i = cells_i[max(0, -di): max(0, grid.nx - di)]
-            src_j = cells_j[max(0, -dj): max(0, grid.ny - dj)]
-            if src_i.size == 0 or src_j.size == 0:
-                continue
-            jj, ii = np.meshgrid(src_j, src_i, indexing="ij")
-            e = (jj * grid.nx + ii).ravel()
-            e2 = ((jj + dj) * grid.nx + (ii + di)).ravel()
-            rows.append(e)
-            cols.append(e2)
-            vals.append(np.full(e.size, w))
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n, grid.n),
-    ).tocsr()
-    norm = np.asarray(mat.sum(axis=1)).ravel()
-    inv = sp.diags(1.0 / norm)
-    return (inv @ mat).tocsr()
-
-
-@functools.lru_cache(maxsize=2)
-def _filter_kernel_cached(grid: GridSpec, radius: float) -> FilterKernel:
-    return FilterKernel(grid, radius)
-
-
-_KERNEL_LOCK = threading.Lock()
-
-
-def _filter_kernel(grid: GridSpec, radius: float) -> FilterKernel:
-    """The shared kernel of ``radius`` on ``grid``.
-
-    A seed lattice runs s1-major, so its concurrent runs filter at one or two
-    radii and two entries keep every kernel in use. The lock keeps pool
-    threads from each building the same kernel (~97 MB at the paper's
-    largest radius on its 100x200 grid).
-    """
-    with _KERNEL_LOCK:
-        return _filter_kernel_cached(grid, radius)
+        return self._correlate(grad / self._norm)
 
 
 def density_filter(kernel: FilterKernel, fld: DensityField) -> DensityField:
@@ -341,7 +298,7 @@ def lf_optimize(
     grid = model.grid
     radius = bounds.radius(seed)
     vol_bound = bounds.volume(seed)
-    kernel = _filter_kernel(grid, radius)
+    kernel = FilterKernel(grid, radius)
     cell_v = grid.hx * grid.hy * model.thickness
     total_v = cell_v * grid.n
 

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines as they complete. The end-to-end run (criterion 7) is the slow one;
-everything else finishes in seconds to a couple of minutes.
+lines as they complete. The end-to-end run (criterion 7) is the slow one and
+carries the ``slow`` marker; everything else finishes in seconds to a couple
+of minutes.
 """
 
 import csv
@@ -219,6 +220,7 @@ def desk_run(tmp_path_factory):
     return seeds, run, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_7_end_to_end_desk_run(desk_run):
     seeds, run, elapsed = desk_run
     with (seeds / "manifest.csv").open() as fh:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from wxtopo import DensityField, GridSpec, cli, read_field, write_field
+from wxtopo import DensityField, GridSpec, cli, read_field, report, write_field
 from wxtopo.cli import main
 from wxtopo.config import dump_config, load_config, parse_config_text
 from wxtopo.errors import ConfigError
@@ -158,6 +158,29 @@ class TestSeedCommand:
         assert before == after
         assert main(["seed", "--config", str(tiny_cfg), "--out", str(out), "--force"]) == 0
 
+    def test_forced_smaller_sweep_leaves_no_earlier_seed_files(self, tiny_cfg, tmp_path,
+                                                               monkeypatch):
+        out = tmp_path / "seeds"
+        wide = tmp_path / "wide.cfg"
+        wide.write_text(TINY.replace("lf.n_s1 = 1", "lf.n_s1 = 2"))
+        assert main(["seed", "--config", str(wide), "--out", str(out)]) == 0
+        assert len(list(out.glob("lf_*.dfld"))) == 4
+        # seed files alone trip the guard, since evolve would read them
+        (out / "manifest.csv").unlink()
+        assert main(["seed", "--config", str(tiny_cfg), "--out", str(out)]) == 3
+        assert len(list(out.glob("lf_*.dfld"))) == 4
+        sweep = cli.seed_sweep
+
+        def fail_second(*args, **kwargs):
+            results = sweep(*args, **kwargs)
+            results[1].density, results[1].error = None, "RuntimeError: injected"
+            return results
+
+        monkeypatch.setattr(cli, "seed_sweep", fail_second)
+        assert main(["seed", "--config", str(tiny_cfg), "--out", str(out), "--force"]) == 0
+        # neither the 2x2 sweep's extra runs nor the failed run's old file survive
+        assert [p.name for p in out.glob("lf_*.dfld")] == ["lf_000.dfld"]
+
 
 class TestEvolveCommand:
     def run_seed(self, tiny_cfg, tmp_path):
@@ -206,6 +229,24 @@ class TestEvolveCommand:
                  "--out", str(run), "--operator", op]
             ) == 0
             assert (run / "history.csv").exists()
+
+    def test_forced_shorter_run_leaves_no_earlier_checkpoints(self, tiny_cfg, tmp_path):
+        seeds = self.run_seed(tiny_cfg, tmp_path)
+        run = tmp_path / "run"
+        assert main(["evolve", "--config", str(tiny_cfg), "--seeds", str(seeds),
+                     "--out", str(run)]) == 0
+        assert (run / "checkpoints" / "gen_0001").is_dir()
+        short = tmp_path / "short.cfg"
+        short.write_text(TINY.replace("evolve.t_max = 1", "evolve.t_max = 0"))
+        args = ["evolve", "--config", str(short), "--seeds", str(seeds), "--out", str(run)]
+        assert main(args + ["--force"]) == 0
+        assert [p.name for p in (run / "checkpoints").iterdir()] == ["gen_0000"]
+        with (run / "pareto" / "objectives.csv").open() as fh:
+            front = {f"pareto_{int(r['candidate_id']):05d}.dfld" for r in csv.DictReader(fh)}
+        assert {p.name for p in (run / "pareto").glob("*.dfld")} == front
+        # checkpoints alone trip the guard
+        (run / "history.csv").unlink()
+        assert main(args) == 3
 
     def test_negative_rng_seed_exits_2(self, tiny_cfg, tmp_path):
         seeds = self.run_seed(tiny_cfg, tmp_path)
@@ -368,6 +409,24 @@ class TestReportCommand:
         assert main(["report", str(run)]) == 0
         for name in ("hv.svg", "pareto.svg", "timing.txt"):
             assert (run / name).exists()
+
+    def test_final_front_is_the_last_recorded_generation(self, tmp_path, monkeypatch):
+        # a run stopped after checkpointing generation 1 but before recording
+        # its history row: the report's final front is generation 0's
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "history.csv").write_text(
+            "generation,hv,hv_normalized,front_size,front_union,n_feasible\n0,1.0,1.0,2,2,2\n"
+        )
+        for gen, j1 in ((0, "3.0"), (1, "5.0")):
+            gdir = run / "checkpoints" / f"gen_{gen:04d}"
+            gdir.mkdir(parents=True)
+            (gdir / "objectives.csv").write_text(f"candidate_id,born,J1,J2\n0,0,{j1},0.4\n")
+        charts = []
+        monkeypatch.setattr(report, "scatter_svg",
+                            lambda series, *a: charts.append(series) or "<svg/>")
+        assert main(["report", str(run)]) == 0
+        assert charts == [{"initial": ([3.0], [0.4]), "final": ([3.0], [0.4])}]
 
     def test_missing_history_exits_2(self, tmp_path):
         empty = tmp_path / "empty"

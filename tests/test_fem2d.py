@@ -26,7 +26,7 @@ from wxtopo import (
     solve_displacement,
     von_mises,
 )
-from wxtopo import benchmark, fem2d, topopt_lf
+from wxtopo import benchmark, fem2d
 from wxtopo.errors import EmptySolidSet, GridMismatch, SingularSystem
 from wxtopo.fem2d import pnorm_objective_grad
 
@@ -328,51 +328,37 @@ class TestNestedDissection:
             assert np.all(u[bc.all_constrained] == 0.0)
 
     def test_concurrent_callers_build_once(self, monkeypatch):
-        # the system (with its scatter matrix) and each radius's filter
-        # kernel are built by the first caller while the others wait
+        # the system (with its scatter matrix) is built by the first caller
+        # while the others wait
         fem2d._reduced_system_cached.cache_clear()
-        topopt_lf._filter_kernel_cached.cache_clear()
-        built, filters = [], []
+        built = []
         init = fem2d._ReducedSystem.__init__
-        build_filter = topopt_lf._build_filter
 
         def slow_init(self, *args):
             built.append(args[:2])
             time.sleep(0.05)  # widen the window in which a second caller could miss
             init(self, *args)
 
-        def slow_filter(grid, radius):
-            filters.append(radius)
-            time.sleep(0.05)
-            return build_filter(grid, radius)
-
         monkeypatch.setattr(fem2d._ReducedSystem, "__init__", slow_init)
-        monkeypatch.setattr(topopt_lf, "_build_filter", slow_filter)
         g = GridSpec(6, 4, 1.0, 1.0)
         model = ElasticModel(grid=g)
         bc = patch_bc(g)
-        radii = (0.3, 0.3, 0.5, 0.5)  # more threads than cores
-        start = threading.Barrier(len(radii), timeout=30)
+        callers = 4  # more threads than cores
+        start = threading.Barrier(callers, timeout=30)
 
-        def lookup(radius):
+        def lookup(_):
             start.wait()
-            return (fem2d._reduced_system(model, bc.all_constrained),
-                    topopt_lf._filter_kernel(g, radius))
+            return fem2d._reduced_system(model, bc.all_constrained)
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ThreadPoolExecutor(len(radii)) as pool:
-                found = list(pool.map(lookup, radii, timeout=60))
+            with ThreadPoolExecutor(callers) as pool:
+                systems = list(pool.map(lookup, range(callers), timeout=60))
         finally:
             sys.setswitchinterval(switch)
-        systems, kernels = zip(*found)
         assert all(system is systems[0] for system in systems)
         assert built == [(6, 4)]
-        assert kernels[0] is kernels[1] and kernels[2] is kernels[3]
-        assert [k.radius for k in kernels] == list(radii)
-        assert sorted(filters) == [0.3, 0.5]
-        topopt_lf._filter_kernel_cached.cache_clear()
 
 
 class TestBandedPath:
@@ -532,24 +518,17 @@ class TestReducedAssembly:
         density = DensityField(g, rng.uniform(0.2, 1.0, g.n))
         system = fem2d._reduced_system(model, bc.all_constrained)
         assert system.band is not None
-        kernel = topopt_lf._filter_kernel(g, 2.5 * g.hx)
-        scatter, filt = system.scatter, kernel._matrix
+        scatter = system.scatter
         shared = (system.indices, system.indptr, system.band_src, system.band_pos,
-                  scatter.data, scatter.indices, scatter.indptr,
-                  filt.data, filt.indices, filt.indptr)
+                  scatter.data, scatter.indices, scatter.indptr)
         before = [a.copy() for a in shared]
         first = solve_displacement(model, density, bc)
         second = solve_displacement(model, density, bc)
         np.testing.assert_array_equal(first, second)
-        filtered = topopt_lf.density_filter(kernel, density)
-        kernel.chain(filtered.values)
         assert fem2d._reduced_system(model, bc.all_constrained) is system
-        assert topopt_lf._filter_kernel(g, 2.5 * g.hx) is kernel
         for arr, old in zip(shared, before):
             assert not arr.flags.writeable
             np.testing.assert_array_equal(arr, old)
-        with pytest.raises(ValueError, match="read-only"):
-            filt.data[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             scatter.data[0] = 0.0
 

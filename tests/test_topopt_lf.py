@@ -40,6 +40,16 @@ def brute_force_filter(grid, values, radius):
     return out
 
 
+def assert_matches_brute_force(grid, radius, rng):
+    """Filter and chain against the oracle's matrix and its transpose."""
+    oracle = np.column_stack([brute_force_filter(grid, e, radius) for e in np.eye(grid.n)])
+    kern = FilterKernel(grid, radius)
+    x, g = rng.random(grid.n), rng.standard_normal(grid.n)
+    out = density_filter(kern, DensityField(grid, x))
+    np.testing.assert_allclose(out.values, oracle @ x, atol=1e-12)
+    np.testing.assert_allclose(kern.chain(g), oracle.T @ g, atol=1e-12)
+
+
 class TestDensityFilter:
     def test_subcell_radius_is_identity(self, rng):
         g = GridSpec(6, 6, 1.0, 1.0)
@@ -62,18 +72,14 @@ class TestDensityFilter:
         np.testing.assert_allclose(out.values, ref, atol=1e-12)
 
     def test_random_matches_brute_force(self, rng):
-        g = GridSpec(6, 8, 1.5, 2.0)
-        values = rng.random(g.n)
-        out = density_filter(FilterKernel(g, 0.6), DensityField(g, values))
-        ref = brute_force_filter(g, values, 0.6)
-        np.testing.assert_allclose(out.values, ref, atol=1e-12)
+        assert_matches_brute_force(GridSpec(6, 8, 1.5, 2.0), 0.6, rng)
+
+    def test_anisotropic_cells_match_brute_force(self, rng):
+        assert_matches_brute_force(GridSpec(9, 5, 1.3, 0.7), 0.4, rng)
 
     def test_radius_wider_than_the_grid_matches_brute_force(self, rng):
         # offsets of a whole grid width or more reach no cell
-        g = GridSpec(6, 4, 1.0, 1.0)
-        values = rng.random(g.n)
-        out = density_filter(FilterKernel(g, 1.5), DensityField(g, values))
-        np.testing.assert_allclose(out.values, brute_force_filter(g, values, 1.5), atol=1e-12)
+        assert_matches_brute_force(GridSpec(6, 4, 1.0, 1.0), 1.5, rng)
 
     def test_grid_mismatch(self):
         kern = FilterKernel(GridSpec(4, 4, 1, 1), 0.3)
