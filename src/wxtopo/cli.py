@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import shutil
 import sys
 import traceback
@@ -31,6 +32,7 @@ EXIT_EXTINCT = 4
 EXIT_INTERNAL = 5
 
 SEED_FILES = "lf_*.dfld"
+MORPH_NAME = re.compile(r"morph_\d{2,}\.dfld")  # the names cmd_morph writes
 
 
 class _OverwriteGuard(Exception):
@@ -140,6 +142,7 @@ def cmd_evolve(args) -> int:
         crossover_operator=args.operator,
         workers=args.workers,
         run_dir=out,
+        progress=lambda line: print(line, file=sys.stderr, flush=True),
     )
     front_dir = out / "pareto"
     front_dir.mkdir(exist_ok=True)
@@ -179,7 +182,11 @@ def cmd_morph(args) -> int:
         raise ConfigError(f"--max-iter must be >= 1, got {args.max_iter}")
     out = Path(args.out)
     targets = [out / f"morph_{i:02d}.dfld" for i in range(len(weights))]
-    _check_overwrite(targets + [out / "morph_reports.csv"], args.force)
+    # a longer earlier morph leaves files beyond this one's count
+    stale = [p for p in out.glob("morph_*.dfld") if MORPH_NAME.fullmatch(p.name)]
+    _check_overwrite(targets + stale + [out / "morph_reports.csv"], args.force)
+    for path in stale:
+        path.unlink()
     out.mkdir(parents=True, exist_ok=True)
     with (out / "morph_reports.csv").open("w") as fh:
         fh.write("weight,file,iterations,residual,converged\n")
@@ -243,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("field_b")
     p.add_argument("--weights", default="0,0.25,0.5,0.75,1")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--tau", type=float, default=1e-7)
+    p.add_argument("--tau", type=float, default=1e-4)
     p.add_argument("--max-iter", type=int, default=10_000)
     p.add_argument("--out", required=True)
     common(p, config=False)

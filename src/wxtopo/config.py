@@ -50,7 +50,7 @@ class RunConfig:
     hf_threshold: float = 0.5
     xo_eps_min: float = 1e-6
     xo_eps_max: float = 1e-4
-    xo_tau: float = 1e-9
+    xo_tau: float = 1e-4
     xo_max_iter: int = 10_000
     evolve_n_pop: int = 100
     evolve_n_xo: int = 100
@@ -107,7 +107,6 @@ _DESK_OVERRIDES = {
     "hf.r_h": "0.02",
     "xo.eps_min": "4e-6",
     "xo.eps_max": "4e-4",
-    "xo.tau": "1e-7",
     "xo.max_iter": "1500",
     "evolve.n_pop": "20",
     "evolve.n_xo": "20",

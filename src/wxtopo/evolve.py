@@ -13,6 +13,7 @@ Everything is minimization-convention.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,12 +97,24 @@ def non_dominated_sort(objs: list[np.ndarray]) -> list[int]:
 
 
 def crowding_distance(front: list[np.ndarray]) -> np.ndarray:
-    """NSGA-II crowding distance; per-objective extremes get infinity."""
-    n = len(front)
-    mat = np.asarray(front, dtype=np.float64)
-    dist = np.zeros(n)
+    """NSGA-II crowding distance; per-objective extremes get infinity.
+
+    A repeat of an earlier point adds nothing to the front's spread: it gets
+    0, and the distinct points are spaced as if it were absent. Otherwise
+    both copies of an extreme rank as boundary points, and truncation can
+    keep two copies of one point over a distinct one (a child whose HF
+    design matches its parent's).
+    """
+    everything = np.asarray(front, dtype=np.float64)
+    out = np.zeros(len(everything))
+    _, first = np.unique(everything, axis=0, return_index=True)
+    distinct = np.sort(first)
+    mat = everything[distinct]
+    n = len(mat)
     if n <= 2:
-        return np.full(n, np.inf)
+        out[distinct] = np.inf
+        return out
+    dist = np.zeros(n)
     for m in range(mat.shape[1]):
         order = np.argsort(mat[:, m], kind="stable")
         vals = mat[order, m]
@@ -114,7 +127,8 @@ def crowding_distance(front: list[np.ndarray]) -> np.ndarray:
         interior = order[1:-1]
         finite = ~np.isinf(dist[interior])
         dist[interior[finite]] += gaps[finite]
-    return dist
+    out[distinct] = dist
+    return out
 
 
 def crowding_truncate(front: list[np.ndarray], keep: int) -> list[int]:
@@ -215,6 +229,7 @@ def evolve_loop(
     crossover_operator: str = "wasserstein",
     workers: int = 1,
     run_dir: Path | None = None,
+    progress: Callable[[str], None] | None = None,
 ) -> tuple[Population, list[GenerationStats]]:
     """Run the full evolutionary procedure from seeded designs.
 
@@ -223,7 +238,8 @@ def evolve_loop(
     any worker count. Parents keep their cached objectives; only fresh
     offspring are evaluated. When ``run_dir`` is given, history, per-phase
     timings, evaluation and offspring records and per-generation checkpoints
-    are written beneath it.
+    are written beneath it. ``progress`` receives one line per generation
+    once it has bred (see ``progress_line``).
     """
     if len(lf_results) < 2:
         raise ExtinctPopulation("need at least two seed designs")
@@ -292,7 +308,10 @@ def evolve_loop(
             writer.checkpoint(generation, population)
             writer.record_history(stats)
 
+        n_infeasible = len(evaluated) - len(feasible)
         if check_convergence(archive_hv, cfg):
+            if progress:
+                progress(progress_line(stats, len(evaluated), n_infeasible, []))
             break
 
         t0 = time.perf_counter()
@@ -314,11 +333,29 @@ def evolve_loop(
         if writer:
             writer.record_timings(stats)
             writer.record_offspring(pending, records, population)
+        if progress:
+            progress(progress_line(stats, len(evaluated), n_infeasible, records))
         generation += 1
 
     if writer:
         writer.finalize(history)
     return Population(population), history
+
+
+def progress_line(
+    stats: GenerationStats, evals: int, infeasible: int, records: list[OffspringRecord]
+) -> str:
+    """One generation at a glance: its HV, evaluations, and the children it bred.
+
+    ``converged`` counts the children whose last barycenter converged, out of
+    the children bred (none after the last generation).
+    """
+    converged = sum(1 for r in records if r.reports and r.reports[-1].converged)
+    return (
+        f"generation {stats.generation} hv_normalized={stats.hv_normalized:.4f} "
+        f"evals={evals} infeasible={infeasible} "
+        f"crossover_s={stats.crossover_seconds:.2f} converged={converged}/{len(records)}"
+    )
 
 
 def _fmt(x) -> str:

@@ -42,7 +42,9 @@ class TestConfig:
         assert cfg.evolve_n_pop == 100 and cfg.evolve_n_xo == 100
         assert cfg.evolve_t_max == 100
         assert cfg.xo_eps_min == 1e-6 and cfg.xo_eps_max == 1e-4
-        assert cfg.xo_tau == 1e-9
+        # the output-side gap s <= 1e-4 keeps the child within ~2e-3 of a
+        # run to s <= 1e-8 (README, crossover)
+        assert cfg.xo_tau == 1e-4
         assert (cfg.lf_r_min, cfg.lf_r_max) == (0.03, 0.12)
         assert (cfg.lf_v_min, cfg.lf_v_max) == (0.30, 0.60)
         assert cfg.hf_r_h == 0.01
@@ -53,6 +55,7 @@ class TestConfig:
         assert cfg.grid_nx == 50 and cfg.grid_ny == 100
         assert cfg.evolve_n_pop == 20
         assert cfg.lf_n_s1 * cfg.lf_n_s2 == 24
+        assert (cfg.xo_tau, cfg.xo_max_iter) == (1e-4, 1500)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="bogus.key"):
@@ -248,6 +251,39 @@ class TestEvolveCommand:
         (run / "history.csv").unlink()
         assert main(args) == 3
 
+    def test_progress_line_per_generation_on_stderr(self, tiny_cfg, tmp_path, capsys):
+        seeds = self.run_seed(tiny_cfg, tmp_path)
+        capsys.readouterr()
+        run = tmp_path / "run"
+        assert main(["evolve", "--config", str(tiny_cfg), "--seeds", str(seeds),
+                     "--out", str(run)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("evolved 2 generations")  # stdout keeps one line
+        assert len(captured.out.splitlines()) == 1
+        lines = captured.err.splitlines()
+        pattern = (r"generation (\d+) hv_normalized=(\S+) evals=(\d+) infeasible=(\d+) "
+                   r"crossover_s=\d+\.\d\d converged=(\d+)/(\d+)")
+        parsed = [re.fullmatch(pattern, line) for line in lines]
+        assert all(parsed), lines
+        with (run / "history.csv").open() as fh:
+            history = list(csv.DictReader(fh))
+        with (run / "evals.csv").open() as fh:
+            evals = list(csv.DictReader(fh))
+        with (run / "offspring.csv").open() as fh:
+            offspring = list(csv.DictReader(fh))
+        assert len(parsed) == len(history) == 2
+        for m, row in zip(parsed, history):
+            gen = row["generation"]
+            rows = [r for r in evals if r["generation"] == gen]
+            bred = [r for r in offspring if int(r["generation"]) == int(gen) + 1]
+            assert m.group(1) == gen
+            assert float(m.group(2)) == pytest.approx(float(row["hv_normalized"]), abs=1e-4)
+            assert int(m.group(3)) == len(rows)
+            assert int(m.group(4)) == sum(r["feasible"] == "0" for r in rows)
+            assert int(m.group(5)) == sum(r["converged"] == "1" for r in bred)
+            assert int(m.group(6)) == len(bred)
+        assert parsed[0].group(6) == "4" and parsed[-1].group(6) == "0"
+
     def test_negative_rng_seed_exits_2(self, tiny_cfg, tmp_path):
         seeds = self.run_seed(tiny_cfg, tmp_path)
         run = tmp_path / "run"
@@ -303,6 +339,23 @@ class TestMorphCommand:
         report = (out / "morph_reports.csv").read_text().splitlines()
         assert report[0] == "weight,file,iterations,residual,converged"
         assert len(report) == 4
+
+    def test_forced_shorter_morph_leaves_no_earlier_morph_files(self, tmp_path):
+        pa, pb = self.write_blobs(tmp_path)
+        out = tmp_path / "morph"
+        args = ["morph", str(pa), str(pb), "--epsilon", "2.0", "--out", str(out)]
+        assert main(args) == 0
+        assert len(list(out.glob("morph_*.dfld"))) == 5
+        keep = out / "morph_notes.dfld"  # not a name the command writes
+        keep.write_bytes(b"x")
+        (out / "morph_reports.csv").unlink()
+        # the earlier morph files alone trip the guard
+        assert main(args + ["--weights", "0,1"]) == 3
+        assert main(args + ["--weights", "0,1", "--force"]) == 0
+        assert sorted(p.name for p in out.glob("morph_*.dfld")) == [
+            "morph_00.dfld", "morph_01.dfld", "morph_notes.dfld"
+        ]
+        assert len((out / "morph_reports.csv").read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("flag, value", [
         ("--epsilon", "0"), ("--epsilon", "-1"), ("--epsilon", "inf"), ("--epsilon", "nan"),

@@ -100,6 +100,23 @@ class TestCrowdingTruncate:
             )
             assert crowding_truncate(front, 10) == expected
 
+    def test_repeated_point_loses_to_a_distinct_one(self):
+        # a child whose HF design matched its parent's: the parent, the
+        # child and a third point form the front, and two survive
+        parent, other = np.array([33.248, 0.5662]), np.array([32.429, 0.6129])
+        front = [parent, parent.copy(), other]
+        assert crowding_truncate(front, 2) == [0, 2]
+        d = crowding_distance(front)
+        assert np.isinf(d[0]) and d[1] == 0 and np.isinf(d[2])
+
+    def test_repeats_do_not_move_distinct_distances(self, rng):
+        xs = np.sort(rng.random(12))
+        front = [np.array([x, 1.0 - x]) for x in xs]
+        repeated = front + [front[3].copy(), front[7].copy(), front[3].copy()]
+        d = crowding_distance(repeated)
+        assert np.array_equal(d[:12], brute_force_crowding(front))
+        assert np.all(d[12:] == 0)
+
     def test_distance_extremes_infinite(self):
         front = [np.array([0.0, 3.0]), np.array([1.0, 1.0]), np.array([3.0, 0.0])]
         d = crowding_distance(front)

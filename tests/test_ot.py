@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from wxtopo import (
+    CrossoverConfig,
+    DensityField,
     GridSpec,
     KernelApplier,
     ProbabilityField,
@@ -11,6 +13,7 @@ from wxtopo import (
 )
 from wxtopo import ot
 from wxtopo.errors import BadWeights, GridMismatch, SizeLimit
+from wxtopo.grid_field import from_probability_minmax, to_probability
 from wxtopo.ot import squared_distance_matrix
 
 from conftest import gaussian_field, lp_barycenter
@@ -315,6 +318,88 @@ class TestLongRunReference:
         assert not capped.converged
         assert capped.iterations == rep.iterations - 1
         assert capped.final_residual >= 1e-6
+
+
+def frame_pair(grid):
+    """Two overlapping frame-like designs, soft-edged over two cells like filtered LF seeds.
+
+    A ring with a diagonal strut on a bottom bar, and the same frame moved by
+    6 % of the width with thicker members; both are exactly void elsewhere.
+    """
+    xs, ys = grid.cell_centers()
+
+    def frame(dx, w):
+        r = np.hypot(xs - 0.5 - dx, ys - 1.0)
+        strut = np.abs(ys - 2.0 * xs) / np.sqrt(5.0)
+        outside = np.minimum.reduce([np.abs(r - 0.3 - w / 2) - w / 2, strut - w / 2, ys - 0.1])
+        return to_probability(DensityField(grid, np.clip(0.5 - outside / (2 * grid.hx), 0, 1)))
+
+    return [frame(0.0, 0.1), frame(0.06, 0.16)]
+
+
+class TestAcceleratedSweep:
+    """The Anderson-accelerated sweep and its stopping rule on the output-side gap s."""
+
+    def check_child_near_reference(self, grid, ratio):
+        # the preset tau against a run taken to s <= 1e-6, on min-max children
+        inputs = frame_pair(grid)
+        eps = ratio * grid.hx**2
+        ref, ref_rep = sinkhorn_barycenter(inputs, [0.4, 0.6], eps, 1e-6, max_iter=60_000)
+        tau = CrossoverConfig().tau
+        out, rep = sinkhorn_barycenter(inputs, [0.4, 0.6], eps, tau, max_iter=60_000)
+        assert ref_rep.converged and rep.converged
+        assert rep.iterations < ref_rep.iterations
+        child = from_probability_minmax(out).values
+        assert np.max(np.abs(child - from_probability_minmax(ref).values)) <= 1e-2
+
+    @pytest.mark.parametrize("ratio", [0.01, 0.1, 0.5, 1.0])
+    def test_desk_child_near_long_run_reference(self, ratio):
+        self.check_child_near_reference(GridSpec(50, 100, 1.0, 2.0), ratio)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("ratio", [0.01, 0.1, 0.5, 1.0])
+    def test_paper_child_near_long_run_reference(self, ratio):
+        self.check_child_near_reference(GridSpec(100, 200, 1.0, 2.0), ratio)
+
+    def test_cap_reports_not_converged(self):
+        g = GridSpec(50, 100, 1.0, 2.0)
+        _, rep = sinkhorn_barycenter(frame_pair(g), [0.4, 0.6], 0.1 * g.hx**2, 1e-4, max_iter=50)
+        assert not rep.converged
+        assert rep.iterations == 50
+        assert rep.final_residual > 1e-4
+
+    @pytest.mark.parametrize("tau,max_iter", [(1e-2, 5000), (1e-4, 5000), (1e-4, 200), (0.0, 30)])
+    def test_converged_exactly_when_gap_within_tau(self, tau, max_iter):
+        g = GridSpec(50, 100, 1.0, 2.0)
+        out, rep = sinkhorn_barycenter(frame_pair(g), [0.3, 0.7], 0.5 * g.hx**2, tau,
+                                       max_iter=max_iter)
+        assert rep.converged == (rep.final_residual <= tau)
+        assert rep.converged or rep.iterations == max_iter
+        assert np.isfinite(rep.final_residual) and abs(out.masses.sum() - 1.0) < 1e-12
+
+    def test_safeguard_restart_returns_finite_field(self, monkeypatch):
+        # at eps / h^2 = 0.01 an early extrapolated step overflows, so the
+        # safeguard drops the history and restarts from the best iterate
+        gaps = []
+
+        def recording_dasum(x):
+            gaps.append(ot_dasum(x))
+            return gaps[-1]
+
+        ot_dasum = ot.dasum
+        monkeypatch.setattr(ot, "dasum", recording_dasum)
+        g = GridSpec(100, 200, 1.0, 2.0)
+        rng = np.random.default_rng(7)
+        inputs = []
+        for _ in range(2):
+            m = (rng.random(g.n) < 0.4) + 1e-12
+            inputs.append(ProbabilityField(g, m / m.sum()))
+        out, rep = sinkhorn_barycenter(inputs, [0.35, 0.65], 0.01 * g.hx**2, 1e-4, max_iter=60)
+        best = np.minimum.accumulate(np.nan_to_num(gaps, nan=np.inf))
+        tripped = [not s <= 10 * b for s, b in zip(gaps[1:], best[:-1])]
+        assert any(tripped)
+        assert np.all(np.isfinite(out.masses)) and np.all(out.masses > 0)
+        assert np.isfinite(rep.final_residual) and rep.final_residual == min(gaps)
 
 
 def plain_product(kern, x):
