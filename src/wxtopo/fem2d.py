@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import cython_lapack
+from scipy.linalg import cython_blas, cython_lapack
 
 from .errors import EmptySolidSet, GridMismatch, SingularSystem
 from .grid_field import DensityField, GridSpec
 
 _GAUSS = 1.0 / np.sqrt(3.0)
+# Leaf boxes of the dissection tree hold at most this many nodes a side.
+_LEAF_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -154,36 +155,44 @@ def _discretization(model: ElasticModel) -> _Discretization:
     return _Discretization(model)
 
 
-def _nested_dissection(nx: int, ny: int) -> np.ndarray:
-    """Node ids of the (nx+1)-by-(ny+1) lattice in geometric nested-dissection order.
+def _nested_dissection(nx: int, ny: int):
+    """Node ids of the (nx+1)-by-(ny+1) lattice in geometric nested-dissection order, and its tree.
 
     A box of nodes is split across its longer side at the middle node line;
     both halves are ordered recursively and the separating line goes last.
     Q4 elements couple only neighbouring node lines, so eliminating one half
-    never fills into the other (George, SIAM J. Numer. Anal. 10, 1973).
+    never fills into the other (George, SIAM J. Numer. Anal. 10, 1973). A box
+    at most ``_LEAF_NODES`` a side is a leaf, ordered row by row.
+
+    Besides the order, returns the tree as its fronts in post-order, one per
+    separating line or leaf: ``(size, box, children)``. The front's nodes are
+    the next ``size`` of the order, ``box`` is the half-open node box
+    (i0, i1, j0, j1) that the front completes (the leaf itself, or the box the
+    line splits), and ``children`` index the fronts of that box's halves.
     """
     nnx = nx + 1
-    parts = []
+    parts, fronts = [], []
 
     def order(i0: int, i1: int, j0: int, j1: int):  # half-open node ranges
         w, h = i1 - i0, j1 - j0
         if w <= 0 or h <= 0:
-            return
-        if max(w, h) <= 2:
-            parts.append((np.arange(j0, j1)[:, None] * nnx + np.arange(i0, i1)).ravel())
+            return None
+        if max(w, h) <= _LEAF_NODES:
+            nodes, halves = (np.arange(j0, j1)[:, None] * nnx + np.arange(i0, i1)).ravel(), ()
         elif w >= h:
             m = i0 + w // 2
-            order(i0, m, j0, j1)
-            order(m + 1, i1, j0, j1)
-            parts.append(np.arange(j0, j1) * nnx + m)
+            halves = (order(i0, m, j0, j1), order(m + 1, i1, j0, j1))
+            nodes = np.arange(j0, j1) * nnx + m
         else:
             m = j0 + h // 2
-            order(i0, i1, j0, m)
-            order(i0, i1, m + 1, j1)
-            parts.append(m * nnx + np.arange(i0, i1))
+            halves = (order(i0, i1, j0, m), order(i0, i1, m + 1, j1))
+            nodes = m * nnx + np.arange(i0, i1)
+        parts.append(nodes)
+        fronts.append((nodes.size, (i0, i1, j0, j1), [f for f in halves if f is not None]))
+        return len(fronts) - 1
 
     order(0, nnx, 0, ny + 1)
-    return np.concatenate(parts)
+    return np.concatenate(parts), fronts
 
 
 def _short_axis_first(nx: int, ny: int) -> np.ndarray:
@@ -199,13 +208,22 @@ def _short_axis_first(nx: int, ny: int) -> np.ndarray:
 
 
 # The banded Cholesky costs ~n b^2 flops for n free dofs of half-bandwidth b.
-# On the cracked plate, with two pool workers factoring at once, it factored
-# 1.4-3.3x faster than SuperLU under the nested-dissection order up to
-# 180x360 (1.7e10). Its band also stores more than SuperLU's factor: 382
-# against ~243 MB at 180x360, 523 against ~308 MB at 200x400 (2.6e10). The
-# paper's 200x400 HF grid factors by SuperLU: two of its bands at once would
-# take over 1 GB. ROADMAP item 3 holds the measurement.
-_MAX_BAND_WORK = 2e10
+# With two pool workers factoring different rough designs of the cracked
+# plate at once, the band took 22 against 50 ms for the multifrontal factor
+# at 50x100, 159 against 268 ms at 100x200 (1.7e9), 252 against 280 ms at
+# 120x240 (3.5e9), 436 against 375 ms at 140x280 (6.4e9) and 1147 against
+# 911 ms at 180x360 (1.7e10), where the band also stores 382 against 131 MB.
+_MAX_BAND_WORK = 5e9
+
+# Elements per chunk of the scatter build, which bounds its temporaries.
+_BUILD_CHUNK = 4096
+# A multifrontal kernel call releases the GIL from this many flops (factor
+# kernels) or entries touched (extend-add blocks, solve fronts) on; shorter
+# calls hold it, since handing the GIL over costs more than they run. At
+# 200x400 with two threads at once, releasing every call made the factors
+# ~10 % and the solves ~40 % slower.
+_RELEASE_FLOPS = 3e5
+_RELEASE_ENTRIES = 3e4
 
 
 class _ReducedSystem:
@@ -213,8 +231,8 @@ class _ReducedSystem:
 
     The free dofs are numbered once, in the order the factor needs: along the
     shorter grid axis first when the band's Cholesky work n b^2 is at most
-    ``_MAX_BAND_WORK`` (``band`` is then the half-bandwidth b), otherwise in
-    the nested-dissection order that SuperLU factors without reordering
+    ``_MAX_BAND_WORK`` (``band`` is then the half-bandwidth b and ``fronts``
+    None), otherwise in nested-dissection order, whose tree ``fronts`` holds
     (``band`` is None). ``free[q]`` is the global dof of unknown q. Entry
     (q, e) of ``scatter`` is the unit-modulus element-matrix entry of element
     e that lands on entry q of the CSC arrays ``indices``/``indptr``, so
@@ -227,46 +245,51 @@ class _ReducedSystem:
 
     def __init__(self, nx: int, ny: int, ke_unit: np.ndarray, constrained: np.ndarray):
         edof = _element_dofs(nx, ny)
-        self.free, local = _numbered(_short_axis_first(nx, ny), constrained, edof)
+        self.free, unknown = _numbered(_short_axis_first(nx, ny), constrained)
         n = self.n = self.free.size
+        local = unknown[edof]
         # every kept entry couples two dofs of one element
         lowest = np.where(local >= 0, local, n).min(axis=1)
         b = int(np.max(local.max(axis=1) - lowest, initial=0))
         self.band = b if n * b * b <= _MAX_BAND_WORK else None
         if self.band is None:
-            self.free, local = _numbered(_nested_dissection(nx, ny), constrained, edof)
+            nodes, tree = _nested_dissection(nx, ny)
+            self.free, unknown = _numbered(nodes, constrained)
+            local = unknown[edof]
+        self.indices, self.indptr, rank = _pattern(nx, ny, self.free, unknown)
 
-        rows = np.repeat(local, 8, axis=1).ravel()
-        cols = np.tile(local, (1, 8)).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        # column-major keys: sorted unique keys are the CSC entries in order
-        keys = cols[keep].astype(np.int64) * n + rows[keep]
-        keys, slot = np.unique(keys, return_inverse=True)
-        del rows, cols, local
-        self.indices = (keys % n).astype(np.int32)
-        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
         # column e holds element e's kept unit-modulus entries at their CSC
-        # entries, so the product adds each entry's terms in element order
-        keep = keep.reshape(nx * ny, 64)
-        self.scatter = sp.csc_matrix(
-            (
-                np.broadcast_to(ke_unit.ravel(), keep.shape)[keep],
-                slot.astype(np.int32),
-                np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32),
-            ),
-            shape=(keys.size, nx * ny),
-        )
-        del keep, slot
+        # entries, so the product adds each entry's terms in element order;
+        # entry (a, b) lands at the rank of dof a's node and component among
+        # the neighbours of dof b's node, in column b. Built in element
+        # chunks, so no temporary spans every element entry.
+        kept = (local >= 0).sum(axis=1) ** 2
+        starts = np.concatenate([[0], np.cumsum(kept)]).astype(np.int32)
+        slot = np.empty(starts[-1], dtype=np.int32)
+        data = np.empty(starts[-1])
+        for c in range(0, nx * ny, _BUILD_CHUNK):
+            cols = local[c:c + _BUILD_CHUNK]
+            keep = (cols[:, :, None] >= 0) & (cols[:, None, :] >= 0)  # (element, a, b)
+            places = self.indptr[cols][:, None, :] + rank[edof[c:c + _BUILD_CHUNK, None, :] // 2,
+                                                          _NEIGHBOUR_SLOT]
+            span = slice(starts[c], starts[c + cols.shape[0]])
+            slot[span] = places[keep]
+            data[span] = np.broadcast_to(ke_unit.reshape(8, 8), keep.shape)[keep]
+        self.scatter = sp.csc_matrix((data, slot, starts), shape=(self.indices.size, nx * ny))
+        del edof, local, rank, slot, data
         shared = [self.free, self.indices, self.indptr,
                   self.scatter.data, self.scatter.indices, self.scatter.indptr]
+        col = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
+        self.fronts = None
         if self.band is not None:
-            col = keys // n
             self.band_src = np.flatnonzero(self.indices >= col).astype(np.int32)
             # entry (i, j), i >= j, sits at row i - j of column j of the
             # (b + 1, n) Fortran-ordered band
             src = self.band_src
             self.band_pos = (col[src] * (b + 1) + self.indices[src] - col[src]).astype(np.int32)
             shared += [self.band_src, self.band_pos]
+        else:
+            self.fronts = _Fronts(nx, ny, nodes, tree, unknown, self.indices, col)
         # cached and shared by every later solve (the index arrays by every
         # assembled matrix), so nothing may change them in place
         for arr in shared:
@@ -277,26 +300,199 @@ class _ReducedSystem:
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
-def _numbered(nodes: np.ndarray, constrained: np.ndarray, edof: np.ndarray):
-    """Free dofs in the order of ``nodes`` and each element's dofs as unknowns (-1 if fixed)."""
+def _neighbour_slots() -> np.ndarray:
+    """(8, 8) slot of element dof a among the 18 neighbour dofs of element dof b's node.
+
+    A node's neighbour dofs are numbered 6 (dj + 1) + 2 (di + 1) + c for
+    component c of the node di, dj steps away; an element's nodes sit at
+    (0, 0), (1, 0), (1, 1) and (0, 1).
+    """
+    corner = np.array([[0, 0], [1, 0], [1, 1], [0, 1]]).repeat(2, axis=0)
+    di = corner[:, None, 0] - corner[None, :, 0]
+    dj = corner[:, None, 1] - corner[None, :, 1]
+    return 6 * (dj + 1) + 2 * (di + 1) + np.arange(8)[:, None] % 2
+
+
+_NEIGHBOUR_SLOT = _neighbour_slots()
+
+
+def _pattern(nx: int, ny: int, free: np.ndarray, unknown: np.ndarray):
+    """CSC pattern of the free-dof matrix and each node's neighbour ranks.
+
+    Two dofs couple when their nodes share an element, that is when the
+    nodes lie at most one step apart on both axes, so both dofs of a node
+    couple with the free dofs among the same 18. Column q's rows are those
+    unknowns of q's node in ascending order; ``rank[node, t]`` is the place
+    of the node's neighbour dof t (see ``_neighbour_slots``) among them.
+    """
+    n, nnx, nny = free.size, nx + 1, ny + 1
+    padded = np.full((nny + 2, nnx + 2, 2), n, dtype=np.int32)  # n marks no unknown
+    padded[1:-1, 1:-1] = np.where(unknown >= 0, unknown, n).reshape(nny, nnx, 2)
+    steps = [(dj, di) for dj in (-1, 0, 1) for di in (-1, 0, 1)]
+    neighbours = np.stack(
+        [padded[1 + dj:nny + 1 + dj, 1 + di:nnx + 1 + di] for dj, di in steps], axis=2
+    ).reshape(nnx * nny, 18)
+    order = np.argsort(neighbours, axis=1, kind="stable")
+    rank = np.empty(order.shape, dtype=np.int32)
+    np.put_along_axis(rank, order, np.arange(18, dtype=np.int32)[None, :], axis=1)
+    rows = np.take_along_axis(neighbours, order, axis=1)[free // 2]
+    indices = rows[rows < n]
+    indptr = np.concatenate([[0], np.cumsum((rows < n).sum(axis=1))]).astype(np.int32)
+    return indices, indptr, rank
+
+
+def _numbered(nodes: np.ndarray, constrained: np.ndarray):
+    """Free dofs in the order of ``nodes``, and each global dof's unknown (-1 if fixed)."""
     order = np.column_stack([2 * nodes, 2 * nodes + 1]).ravel()
     free = order[~np.isin(order, constrained)]
-    reduced = np.full(order.size, -1, dtype=np.int32)
-    reduced[free] = np.arange(free.size, dtype=np.int32)
-    return free, reduced[edof]
+    unknown = np.full(order.size, -1, dtype=np.int32)
+    unknown[free] = np.arange(free.size, dtype=np.int32)
+    return free, unknown
+
+
+class _Fronts:
+    """Symbolic multifrontal Cholesky on the nested-dissection tree (Liu, SIAM Review 34, 1992).
+
+    Each front of the tree eliminates k unknowns, one contiguous range: the
+    free dofs of its separating line or leaf box. Its u update rows are the
+    free unknowns of the one-node ring around its box, all numbered later
+    and in ascending order: Q4 coupling fills nothing beyond that ring, and each
+    child's ring lies inside its parent's line and ring. The factor keeps
+    each front's first k columns, (k + u) x k in Fortran order at an offset
+    of one buffer of ``size`` entries: the diagonal block (lower triangle)
+    over the u x k block below it. The lower-triangle CSC entries
+    ``entry_src`` of the matrix land at ``entry_pos`` of that buffer.
+
+    ``steps`` holds, front by front in post-order, what the factor reads, and
+    ``solve_steps`` what the solves read of the fronts with k > 0. A child's
+    update rows fall on a few runs of consecutive rows of its parent (3-4 on
+    the cracked plate), so its extend-add is one dgeadd per pair of runs:
+    ``(child, into_kept, dst, src, rows, cols, ld, geadd)``, where ``child``
+    counts from the front's first child, ``into_kept`` says whether the
+    block lands in the front's kept columns or in its own update matrix
+    (leading dimension ``ld``), and ``dst`` and ``src`` are byte offsets.
+    """
+
+    def __init__(self, nx: int, ny: int, nodes: np.ndarray, tree: list, unknown: np.ndarray,
+                 indices: np.ndarray, col: np.ndarray):
+        n, nnx, nny = int((unknown >= 0).sum()), nx + 1, ny + 1
+        sizes = np.array([size for size, _, _ in tree])
+        free_per_node = (unknown.reshape(-1, 2) >= 0).sum(axis=1)
+        k = np.add.reduceat(free_per_node[nodes], np.cumsum(sizes) - sizes)
+        start = np.cumsum(k) - k
+        nf = len(tree)
+        owner, ring = _rings(np.array([box for _, box, _ in tree]), nnx, nny)
+        dofs = unknown[np.column_stack([2 * ring, 2 * ring + 1])]
+        owner = np.repeat(owner, 2)[dofs.ravel() >= 0]
+        ring_keys = np.sort(owner * n + dofs.ravel()[dofs.ravel() >= 0])
+        ring = ring_keys % n
+        u = np.bincount(owner, minlength=nf)
+        rows = np.split(ring, np.cumsum(u)[:-1])
+        height = k + u
+        offset = np.cumsum(height * k) - height * k
+        self.size, self.max_update = int((height * k).sum()), int(u.max())
+
+        # every front's update rows as rows of its parent's front: the
+        # parent's own unknowns first, then its ring
+        parent = np.zeros(nf, dtype=np.intp)  # the root has no update rows
+        for f, (_, _, children) in enumerate(tree):
+            parent[children] = f
+        owner = ring_keys // n
+        ring_base = np.cumsum(u) - u
+        p = parent[owner]
+        in_ring = k[p] + np.searchsorted(ring_keys, p * n + ring) - ring_base[p]
+        pos = np.where(ring < start[p] + k[p], ring - start[p], in_ring)
+        # runs of consecutive parent rows, split at the parent's kept columns
+        cut = np.ones(ring.size, dtype=bool)
+        cut[1:] = (owner[1:] != owner[:-1]) | (np.diff(pos) != 1) | (pos[1:] == k[p[1:]])
+        lo = np.flatnonzero(cut)
+        hi = np.append(lo[1:], ring.size)
+        run_owner = owner[lo]
+        first_run = np.searchsorted(run_owner, np.arange(nf + 1))
+        runs = list(zip((lo - ring_base[run_owner]).tolist(), (hi - ring_base[run_owner]).tolist(),
+                        pos[lo].tolist()))
+
+        steps, solve_steps = [], []
+        for f, (_, _, children) in enumerate(tree):
+            kf = int(k[f])
+            blocks = []
+            for c, child in enumerate(children):
+                child_runs = runs[first_run[child]:first_run[child + 1]]
+                uc = int(u[child])
+                for a, (a0, a1, pa) in enumerate(child_runs):
+                    for b0, b1, pb in child_runs[:a + 1]:
+                        # rows pa.. and columns pb.. of the front: its kept
+                        # columns (leading dimension k + u) or its update matrix
+                        into_kept = pb < kf
+                        ld, shift = (int(height[f]), 0) if into_kept else (int(u[f]), kf)
+                        entries = (a1 - a0) * (b1 - b0)
+                        blocks.append((c, into_kept, 8 * (pa - shift + (pb - shift) * ld),
+                                       8 * (a0 + b0 * uc), ctypes.c_int(a1 - a0),
+                                       ctypes.c_int(b1 - b0), ctypes.c_int(ld),
+                                       _DGEADD[entries >= _RELEASE_ENTRIES]))
+            uf, hf = int(u[f]), int(height[f])
+            ints = ctypes.c_int(kf), ctypes.c_int(uf), ctypes.c_int(hf)
+            # kernels release the GIL only when they run long enough to repay it
+            flops = kf**3 / 3 + uf * kf * kf + uf * uf * kf
+            kernels = [kernel[flops >= _RELEASE_FLOPS] for kernel in (_DPOTRF, _DTRSM, _DSYRK)]
+            steps.append((int(start[f]), kf, uf, hf, int(offset[f]), len(children), blocks,
+                          *ints, *kernels))
+            if kf:
+                release = hf * kf >= _RELEASE_ENTRIES
+                solve_steps.append((int(start[f]), kf, uf, int(offset[f]), *ints, rows[f],
+                                    _DTRSV[release], _DGEMV[release]))
+        self.steps, self.solve_steps = steps, solve_steps
+
+        # every lower-triangle entry's place in its front's kept columns,
+        # in chunks of entries to bound the temporaries
+        index = np.int32 if max(self.size, indices.size) < 2**31 else np.int64
+        self.entry_src = np.flatnonzero(indices >= col).astype(index)
+        self.entry_pos = np.empty_like(self.entry_src)
+        front_of = np.repeat(np.arange(nf), k)
+        for c in range(0, self.entry_src.size, _BUILD_CHUNK * 64):
+            lower = self.entry_src[c:c + _BUILD_CHUNK * 64]
+            i, j = indices[lower], col[lower]
+            f = front_of[j]
+            # the entry's row in its front: its own unknowns, then its ring
+            local = i - start[f]
+            ring_rows = np.flatnonzero(local >= k[f])
+            fr = f[ring_rows]
+            local[ring_rows] = (k[fr] - ring_base[fr]
+                                + np.searchsorted(ring_keys, fr * n + i[ring_rows]))
+            self.entry_pos[c:c + lower.size] = offset[f] + (j - start[f]) * height[f] + local
+        # shared by every factor of the cached system
+        for arr in (self.entry_src, self.entry_pos, *rows):
+            arr.flags.writeable = False
+
+
+def _rings(boxes: np.ndarray, nnx: int, nny: int):
+    """The one-node rings around half-open node boxes (i0, i1, j0, j1), inside the lattice.
+
+    Returns each ring node's box and its node id, box by box.
+    """
+    i0, i1, j0, j1 = boxes.T
+    ia, ib = np.maximum(i0 - 1, 0), np.minimum(i1 + 1, nnx)
+    # the sides below, above, left and right of each box: first node, step, count
+    first = np.stack([(j0 - 1) * nnx + ia, j1 * nnx + ia, j0 * nnx + i0 - 1, j0 * nnx + i1], 1)
+    step = np.array([1, 1, nnx, nnx])
+    count = np.stack([(ib - ia) * (j0 > 0), (ib - ia) * (j1 < nny),
+                      (j1 - j0) * (i0 > 0), (j1 - j0) * (i1 < nnx)], 1).ravel()
+    side = np.repeat(np.arange(count.size), count)
+    along = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    return side // 4, first.ravel()[side] + np.tile(step, boxes.shape[0])[side] * along
 
 
 @functools.cache
 def _pin_scipy_blas_to_one_thread() -> None:
     """Hold the OpenBLAS behind scipy.linalg at one thread for the rest of the process.
 
-    pbtrf's BLAS-3 updates round differently when OpenBLAS splits them over
-    threads, so without this a run's results would depend on
-    OPENBLAS_NUM_THREADS. numpy links a separate OpenBLAS, whose count this
-    leaves alone. OpenBLAS built on pthreads applies the "local" count to
-    every thread. The Cython LAPACK module links scipy's library, and a
-    symbol lookup on it searches the libraries it links; other BLAS builds
-    lack the symbol.
+    The BLAS-3 updates of pbtrf and of the multifrontal kernels round
+    differently when OpenBLAS splits them over threads, so without this a
+    run's results would depend on OPENBLAS_NUM_THREADS. numpy links a
+    separate OpenBLAS, whose count this leaves alone. OpenBLAS built on
+    pthreads applies the "local" count to every thread. The Cython LAPACK
+    module links scipy's library, and a symbol lookup on it searches the
+    libraries it links; other BLAS builds lack the symbol.
     """
     setter = getattr(ctypes.CDLL(cython_lapack.__file__), "openblas_set_num_threads_local", None)
     if setter is not None:
@@ -312,29 +508,81 @@ _CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
 )
 
 
-def _lapack(name: str, *argtypes):
-    """LAPACK routine ``name`` from scipy's Cython table as a GIL-releasing ctypes call.
+def _native(table, name: str, *argtypes):
+    """Routine ``name`` of scipy's Cython BLAS or LAPACK ``table`` as two ctypes calls.
 
-    scipy.linalg's f2py wrappers hold the GIL for the length of a LAPACK call,
-    which stalls every other pool thread; a CFUNCTYPE call releases it.
+    The first holds the GIL, the second releases it. scipy.linalg's f2py
+    wrappers hold the GIL for the length of a call, which stalls every other
+    pool thread through a long factor. A short call is better made holding
+    it: a thread that has released the GIL waits for it on return, up to the
+    interpreter's switch interval when another thread runs Python code.
     """
-    capsule = cython_lapack.__pyx_capi__[name]
-    capsule_name = _CAPSULE_NAME(capsule)
-    return ctypes.CFUNCTYPE(None, *argtypes)(_CAPSULE_POINTER(capsule, capsule_name))
+    capsule = table.__pyx_capi__[name]
+    pointer = _CAPSULE_POINTER(capsule, _CAPSULE_NAME(capsule))
+    return (ctypes.PYFUNCTYPE(None, *argtypes)(pointer),
+            ctypes.CFUNCTYPE(None, *argtypes)(pointer))
 
 
 _INT = ctypes.POINTER(ctypes.c_int)
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+_CHAR, _PTR = ctypes.c_char_p, ctypes.c_void_p
 # dpbtrf(uplo, n, kd, ab, ldab, info)
-_DPBTRF = _lapack("dpbtrf", ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT, _INT)
+_DPBTRF = _native(cython_lapack, "dpbtrf", _CHAR, _INT, _INT, _PTR, _INT, _INT)[1]
 # dpbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info)
-_DPBTRS = _lapack(
-    "dpbtrs", ctypes.c_char_p, _INT, _INT, _INT, ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _INT
-)
+_DPBTRS = _native(cython_lapack, "dpbtrs", _CHAR, _INT, _INT, _INT, _PTR, _INT, _PTR, _INT,
+                  _INT)[1]
+# dpotrf(uplo, n, a, lda, info)
+_DPOTRF = _native(cython_lapack, "dpotrf", _CHAR, _INT, _PTR, _INT, _INT)
+# dtrsm(side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb)
+_DTRSM = _native(cython_blas, "dtrsm", _CHAR, _CHAR, _CHAR, _CHAR, _INT, _INT, _DOUBLE,
+                 _PTR, _INT, _PTR, _INT)
+# dsyrk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc)
+_DSYRK = _native(cython_blas, "dsyrk", _CHAR, _CHAR, _INT, _INT, _DOUBLE, _PTR, _INT, _DOUBLE,
+                 _PTR, _INT)
+# dtrsv(uplo, trans, diag, n, a, lda, x, incx)
+_DTRSV = _native(cython_blas, "dtrsv", _CHAR, _CHAR, _CHAR, _INT, _PTR, _INT, _PTR, _INT)
+# dgemv(trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
+_DGEMV = _native(cython_blas, "dgemv", _CHAR, _INT, _INT, _DOUBLE, _PTR, _INT, _PTR, _INT,
+                 _DOUBLE, _PTR, _INT)
+# daxpy(n, alpha, x, incx, y, incy)
+_DAXPY = _native(cython_blas, "daxpy", _INT, _DOUBLE, _PTR, _INT, _PTR, _INT)
+_ONE, _ZERO, _MINUS_ONE = ctypes.c_double(1.0), ctypes.c_double(0.0), ctypes.c_double(-1.0)
+_UNIT_STRIDE = ctypes.c_int(1)
 
 
-def _check_info(info: ctypes.c_int, routine: str) -> None:
+def _geadd_by_columns(m, n, alpha, a, lda, beta, c, ldc):
+    """dgeadd for beta = 1 as one daxpy per column, on a BLAS that lacks dgeadd."""
+    for j in range(n.value):
+        _DAXPY[0](m, alpha, a + 8 * j * lda.value, _UNIT_STRIDE, c + 8 * j * ldc.value,
+                  _UNIT_STRIDE)
+
+
+def _openblas_geadd():
+    """dgeadd(m, n, alpha, a, lda, beta, c, ldc), C = alpha A + beta C, as two ctypes calls.
+
+    dgeadd is an OpenBLAS extension, absent from scipy's Cython tables; it is
+    looked up in the libraries the Cython LAPACK module links, under the
+    prefix of scipy's own OpenBLAS build or none. Elsewhere the columns are
+    added by daxpy, with the same sums.
+    """
+    library = ctypes.CDLL(cython_lapack.__file__)
+    argtypes = (_INT, _INT, _DOUBLE, _PTR, _INT, _DOUBLE, _PTR, _INT)
+    for symbol in ("scipy_dgeadd_", "dgeadd_"):
+        function = getattr(library, symbol, None)
+        if function is not None:
+            pointer = ctypes.cast(function, ctypes.c_void_p).value
+            return (ctypes.PYFUNCTYPE(None, *argtypes)(pointer),
+                    ctypes.CFUNCTYPE(None, *argtypes)(pointer))
+    return _geadd_by_columns, _geadd_by_columns
+
+
+_DGEADD = _openblas_geadd()
+
+
+def _check_info(info: ctypes.c_int, routine: str, first: int = 0) -> None:
     if info.value > 0:
-        raise np.linalg.LinAlgError(f"{info.value}-th leading minor not positive definite")
+        raise np.linalg.LinAlgError(
+            f"{first + info.value}-th leading minor not positive definite")
     if info.value < 0:
         raise ValueError(f"illegal value in {-info.value}-th argument of {routine}")
 
@@ -370,20 +618,82 @@ class _BandCholesky:
         return x
 
 
-def _factorize(system: _ReducedSystem, k_ff: sp.csc_matrix):
-    """Cholesky or LU factor of ``k_ff``, whichever ``system`` was numbered for.
+class _Multifrontal:
+    """Multifrontal Cholesky of a ``_ReducedSystem`` matrix numbered on its ``fronts`` tree.
 
-    Raises RuntimeError (SuperLU) or LinAlgError (banded) when the factor fails.
+    Fronts are factored in post-order: assemble the front's columns of the
+    matrix, extend-add its children's update matrices, then dpotrf on the
+    diagonal block, dtrsm below it and dsyrk into the front's own update
+    matrix. A solve walks the fronts forward with dtrsv and dgemv, then back.
+    Every dense kernel is called through scipy's Cython BLAS and LAPACK
+    pointers on its one-thread OpenBLAS; the larger fronts' kernels release
+    the GIL, so pool threads factor side by side. ``nnz`` counts the stored
+    entries, upper triangles of the diagonal blocks included.
+    """
+
+    def __init__(self, system: _ReducedSystem, k_ff: sp.csc_matrix):
+        fronts = self.fronts = system.fronts
+        self.n, self.nnz = system.n, fronts.size
+        factor = self.factor = np.zeros(fronts.size)
+        factor[fronts.entry_pos] = k_ff.data[fronts.entry_src]
+        base = factor.ctypes.data
+        info = ctypes.c_int()
+        _pin_scipy_blas_to_one_thread()
+        # update matrices (with their addresses and leading dimensions) of the
+        # fronts whose parent is still to come
+        pending = []
+        for (start, k, u, height, offset, nkids, blocks, ck, cu, ch,
+             potrf, trsm, syrk) in fronts.steps:
+            # syrk leaves the upper triangle alone, so it stays zero throughout
+            update = np.zeros((u, u), order="F")
+            diag, own = base + 8 * offset, update.ctypes.data
+            if nkids:
+                kids = pending[-nkids:]
+                del pending[-nkids:]
+                for c, into_kept, dst, src, rows, cols, ld, geadd in blocks:
+                    _, child, child_ld = kids[c]
+                    geadd(rows, cols, _ONE, child + src, child_ld, _ONE,
+                          (diag if into_kept else own) + dst, ld)
+            if k:
+                potrf(b"L", ck, diag, ch, info)
+                _check_info(info, "potrf", start)
+                if u:
+                    below = diag + 8 * k
+                    trsm(b"R", b"L", b"T", b"N", cu, ck, _ONE, diag, ch, below, ch)
+                    syrk(b"L", b"N", cu, ck, _MINUS_ONE, below, ch, _ONE, own, cu)
+            pending.append((update, own, cu))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x = np.array(rhs, dtype=np.float64)
+        if x.shape != (self.n,):
+            raise ValueError(f"right-hand side of shape {x.shape} for {self.n} unknowns")
+        steps = self.fronts.solve_steps
+        work = np.empty(self.fronts.max_update)
+        base, px, pw = self.factor.ctypes.data, x.ctypes.data, work.ctypes.data
+        one, zero, minus_one, stride = _ONE, _ZERO, _MINUS_ONE, _UNIT_STRIDE
+        for start, k, u, offset, ck, cu, ch, ring, trsv, gemv in steps:  # L y = b
+            diag, own = base + 8 * offset, px + 8 * start
+            trsv(b"L", b"N", b"N", ck, diag, ch, own, stride)
+            if u:
+                gemv(b"N", cu, ck, one, diag + 8 * k, ch, own, stride, zero, pw, stride)
+                x[ring] -= work[:u]
+        for start, k, u, offset, ck, cu, ch, ring, trsv, gemv in reversed(steps):  # L^T x = y
+            diag, own = base + 8 * offset, px + 8 * start
+            if u:
+                work[:u] = x[ring]
+                gemv(b"T", cu, ck, minus_one, diag + 8 * k, ch, pw, stride, one, own, stride)
+            trsv(b"L", b"T", b"N", ck, diag, ch, own, stride)
+        return x
+
+
+def _factorize(system: _ReducedSystem, k_ff: sp.csc_matrix):
+    """Cholesky factor of ``k_ff``, banded or multifrontal as ``system`` was numbered for.
+
+    Raises LinAlgError when ``k_ff`` is not positive definite.
     """
     if system.band is not None:
         return _BandCholesky(system, k_ff)
-    # K_ff is SPD, so diagonal pivots are safe and keep the fill of the
-    # nested-dissection order; SuperLU's default threshold of 1 pivots off
-    # the diagonal on rough designs and stores up to 2.7x the entries. A
-    # singular matrix still fails the factor.
-    return spla.splu(
-        k_ff, permc_spec="NATURAL", options={"SymmetricMode": True, "DiagPivotThresh": 0.0}
-    )
+    return _Multifrontal(system, k_ff)
 
 
 @functools.lru_cache(maxsize=8)
@@ -402,8 +712,7 @@ def _reduced_system(model: ElasticModel, constrained: np.ndarray) -> _ReducedSys
     """The cached system of ``model``'s grid and unit element matrix and ``constrained``."""
     g, ke_unit = model.grid, _discretization(model).ke_unit
     # the lock keeps concurrent pool threads from each building the same
-    # entry, whose build holds several times the finished entry (~340 MB
-    # at 200x400)
+    # entry (~0.6 s and ~100 MB, with ~50 MB more while it builds, at 200x400)
     with _REDUCED_LOCK:
         return _reduced_system_cached(
             g.nx, g.ny, ke_unit.tobytes(), np.asarray(constrained, dtype=np.int64).tobytes()
@@ -438,7 +747,7 @@ class _Solved:
         try:
             self.factor = _factorize(system, k_ff)
             u_f = self.factor.solve(f_f)
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
+        except np.linalg.LinAlgError as exc:
             raise SingularSystem(str(exc), "factor") from exc
         if not np.all(np.isfinite(u_f)):
             raise SingularSystem("solution contains non-finite entries", "non_finite")
