@@ -189,7 +189,7 @@ def cmd_morph(args) -> int:
         path.unlink()
     out.mkdir(parents=True, exist_ok=True)
     with (out / "morph_reports.csv").open("w") as fh:
-        fh.write("weight,file,iterations,residual,converged\n")
+        fh.write("weight,file,iterations,residual,converged,restarts\n")
         for i, (w, target) in enumerate(zip(weights, targets)):
             sink = []
             child = wasserstein_crossover(

@@ -386,7 +386,7 @@ class _RunWriter:
         self.offspring_path = self.dir / "offspring.csv"
         self.offspring_path.write_text(
             "generation,candidate_id,parent_a,parent_b,lambda,epsilon,"
-            "sweeps,residual,converged,linear_fallback\n"
+            "sweeps,residual,converged,restarts,linear_fallback\n"
         )
 
     def record_evals(self, generation: int, timed: list[tuple[Member, float]]):
@@ -407,7 +407,7 @@ class _RunWriter:
             for child, rec in zip(children, records):
                 a, b = (parents[i].id for i in rec.parents)
                 eps = "" if rec.epsilon is None else _fmt(rec.epsilon)
-                bary = rec.reports[-1].csv_row() if rec.reports else ",,"
+                bary = rec.reports[-1].csv_row() if rec.reports else ",,,"
                 fh.write(
                     f"{child.born},{child.id},{a},{b},{_fmt(rec.lam)},{eps},"
                     f"{bary},{int(rec.linear_fallback)}\n"

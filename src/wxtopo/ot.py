@@ -237,16 +237,21 @@ class SinkhornReport:
     """Outcome of a scaling run.
 
     ``value`` is the transport cost for distance calls and the barycenter
-    field for barycenter calls.
+    field for barycenter calls. ``restarts`` counts the times a barycenter
+    sweep dropped its Anderson history; distance calls never restart.
     """
 
     value: object
     iterations: int
     final_residual: float
     converged: bool
+    restarts: int = 0
 
     def csv_row(self) -> str:
-        return f"{self.iterations},{float(self.final_residual)!r},{int(self.converged)}"
+        return (
+            f"{self.iterations},{float(self.final_residual)!r},{int(self.converged)},"
+            f"{self.restarts}"
+        )
 
 
 def _l1_gap(scale, product, target, buf) -> float:
@@ -254,6 +259,19 @@ def _l1_gap(scale, product, target, buf) -> float:
     np.multiply(scale, product, out=buf)
     buf -= target
     return np.abs(buf, out=buf).sum()
+
+
+def _aligned_empty(shape) -> np.ndarray:
+    """An empty float64 array whose data starts on a 64-byte boundary.
+
+    OpenBLAS's dasum adds in an order that depends on where its input starts
+    (the same desk residual summed to different last bits at offsets 0 and
+    48 mod 64), so a gap summed in a heap buffer could differ between runs.
+    """
+    count = int(np.prod(shape))
+    raw = np.empty(count + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start : start + count].reshape(shape)
 
 
 def _check_stopping(tau, max_iter) -> None:
@@ -313,13 +331,19 @@ def sinkhorn_distance(
 
 # Anderson acceleration of the barycenter sweep: the window m; the growth of
 # the gap over its best value, and the steps without a new best, that drop
-# the history; and the max |f| below which a restarted run extrapolates
-# again. Without the stall rule, desk children at eps / h^2 = 0.01 sat on
-# their first sweep's gap for 1 400 steps before the growth rule fired.
+# the history; and the plain steps a restarted run takes before it
+# extrapolates again, doubled at each later restart of the run so that a
+# small-eps run cannot cycle through overflow without limit. Without the stall
+# rule, desk children at eps / h^2 = 0.01 sat on their first sweep's gap for
+# 1 400 steps before the growth rule fired. Waiting instead for max |f| <= 0.1
+# on every cell, massless ones included, kept the evolve-paper2d children
+# plain for ~2 500 of their ~3 600 steps. On restarted frame-pair runs (desk
+# at eps / h^2 = 0.01-0.05, the paper grid at 0.01-0.1), 50 plain steps took
+# the fewest steps in 5 of 7; 20 or 100 took up to 10 % more, 200 up to 13 %.
 _WINDOW = 5
 _RESTART_GROWTH = 10.0
 _STALL = 100
-_GATE = 0.1
+_PLAIN_RUN = 50
 # The normal equations carry a ridge of _RIDGE times their trace, and the
 # weights are rounded to multiples of _QUANTUM. Unregularized Anderson steps
 # amplified a rounding-level difference (banded against whole axis factors)
@@ -345,15 +369,18 @@ def _anderson_weights(gram: np.ndarray, newest: int) -> np.ndarray | None:
     normal = gram - col
     normal -= col[:, None]
     normal += col[newest]
-    scale = normal.trace()
+    diag = normal.reshape(-1)[:: len(gram) + 1]  # a view
+    scale = diag.sum()
     if not 0 < scale < np.inf:  # NaN too
         return None
-    normal.flat[:: len(gram) + 1] += _RIDGE * scale
-    normal[newest, newest] = 1.0  # the row and column of gamma_k are zero
-    _, gamma, info = dposv(normal, col[newest] - col)
+    diag += _RIDGE * scale
+    diag[newest] = 1.0  # the row and column of gamma_k are zero
+    _, gamma, info = dposv(normal, col[newest] - col, overwrite_b=1)
     if info:
         return None
-    gamma = np.round(gamma / _QUANTUM) * _QUANTUM
+    gamma *= 1.0 / _QUANTUM  # a power of two: the same bits as dividing by _QUANTUM
+    np.rint(gamma, out=gamma)
+    gamma *= _QUANTUM
     gamma[newest] = 1.0 - gamma.sum()
     return gamma
 
@@ -389,12 +416,13 @@ def sinkhorn_barycenter(
     an L1 mass that is exact at any x, extrapolated or not. The run stops
     once s <= ``tau``. A non-finite s, one above ``_RESTART_GROWTH`` times
     the best so far, or ``_STALL`` steps without a new best drop the history
-    and restart with a plain step from the best iterate; after a restart,
-    plain steps run until max |f| <= ``_GATE``, so that small-eps runs do not
-    cycle through overflow. The report carries the best iterate's s, and
-    the barycenter returned is that iterate's p renormalized to unit mass
-    (the raw product is not guaranteed to sum to one). A run that hits
-    ``max_iter`` reports ``converged = False``.
+    and restart from the best iterate. The restarted run takes
+    ``_PLAIN_RUN`` plain steps, twice as many after each later restart, and
+    then extrapolates again from a fresh history; the report counts the
+    restarts. It carries the best iterate's s, and the barycenter returned
+    is that iterate's p renormalized to unit mass (the raw product is not
+    guaranteed to sum to one). A run that hits ``max_iter`` reports
+    ``converged = False``.
     """
     if len(inputs) < 2:
         raise ValueError("need at least two input fields")
@@ -419,7 +447,7 @@ def sinkhorn_barycenter(
     v = np.empty_like(a)
     u = np.empty_like(a)
     t = np.empty_like(a)
-    work = np.empty_like(a)
+    work = _aligned_empty(a.shape)  # every gap is its dasum
     step = np.zeros_like(a)  # the extrapolated x; the first x is 0, v = 1
     x = step
     log_p = np.empty(grid.n)
@@ -433,7 +461,8 @@ def sinkhorn_barycenter(
     best_at = 0
 
     filled = 0  # iterates stored since the history was last dropped
-    gated = False
+    restarts = 0
+    plain = 0  # plain steps left before extrapolation resumes
     iterations = 0
     converged = False
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -443,7 +472,6 @@ def sinkhorn_barycenter(
                 np.copyto(best_image, images[slot].reshape(a.shape))
                 best_slot = -1
             g = images[slot].reshape(a.shape)
-            e = resid[slot].reshape(a.shape)
             np.exp(x, out=v)
             kern.apply(v, out=u, tmp=work)
             np.divide(a, np.maximum(u, _DENOM_FLOOR, out=u), out=u)
@@ -451,7 +479,6 @@ def sinkhorn_barycenter(
             np.maximum(t, _DENOM_FLOOR, out=t)
             np.matmul(lam, np.log(t, out=work), out=log_p)
             np.subtract(log_p, work, out=g)
-            np.subtract(x, g, out=e)
             np.exp(log_p, out=p)
             np.multiply(v, t, out=work)
             work -= p
@@ -464,27 +491,32 @@ def sinkhorn_barycenter(
                 if gap <= tau:
                     converged = True
                     break
-            elif not gated and (
+            elif not plain and (
                 not gap <= _RESTART_GROWTH * best  # NaN too
                 or iterations - best_at >= _STALL
             ):
                 if best_slot >= 0:
                     np.copyto(best_image, images[best_slot].reshape(a.shape))
-                x, best_slot, filled, gated = best_image, -1, 0, True
+                x, best_slot, filled = best_image, -1, 0
+                plain = _PLAIN_RUN << restarts
+                restarts += 1
                 continue
 
-            if gated:
-                if e.max() <= _GATE and e.min() >= -_GATE:
-                    # extrapolate again, from a history that starts here
-                    x, filled, gated = step, 0, False
-                    np.copyto(x, g)
-                else:
+            if plain:
+                plain -= 1
+                if plain:
                     # a plain step; the next one writes the following slot
                     x = g
                     filled += 1
+                else:
+                    # extrapolate again, from a history that starts here
+                    x, filled = step, 0
+                    np.copyto(x, g)
                 continue
             filled += 1
             count = min(filled, _WINDOW + 1)
+            e = resid[slot].reshape(a.shape)
+            np.subtract(x, g, out=e)
             e *= step_p  # cells without mass do not steer the weights
             row = np.matmul(resid[:count], resid[slot])
             gram[slot, :count] = row
@@ -505,7 +537,7 @@ def sinkhorn_barycenter(
         if abs(s - 1.0) > 1e-13:
             bary = bary / s
     out = ProbabilityField(grid, bary)
-    return out, SinkhornReport(out, iterations, best, converged)
+    return out, SinkhornReport(out, iterations, best, converged, restarts)
 
 
 def exact_ot_lp(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> tuple[float, np.ndarray]:

@@ -162,23 +162,27 @@ def _timing_table(run_dir: Path, history: list[dict]) -> str:
 
 
 def _crossover_table(offspring: list[dict]) -> list[str]:
-    """Children, median sweeps, converged barycenters and linear fallbacks per generation.
+    """Children, median sweeps, converged barycenters, restarts and fallbacks per generation.
 
     Rows bred by the linear operator carry no barycenter, so their generation
-    prints "-" in the barycenter columns.
+    prints "-" in the barycenter columns. Run directories written before
+    offspring.csv had a restarts column print "-" there too.
     """
     by_gen: dict[int, list[dict]] = {}
     for row in offspring:
         by_gen.setdefault(int(row["generation"]), []).append(row)
     lines = [f"{'generation':<12}{'children':>10}{'sweeps_p50':>12}{'converged':>11}"
-             f"{'linear_fallback':>17}"]
+             f"{'restarts':>10}{'linear_fallback':>17}"]
     for gen, rows in sorted(by_gen.items()):
         bary = [r for r in rows if r["sweeps"]]
         if bary:
             sweeps = f"{median(int(r['sweeps']) for r in bary):g}"
             converged = str(sum(int(r["converged"]) for r in bary))
+            restarts = (str(sum(int(r["restarts"]) for r in bary))
+                        if "restarts" in bary[0] else "-")
             fallbacks = str(sum(int(r["linear_fallback"]) for r in bary))
         else:
-            sweeps = converged = fallbacks = "-"
-        lines.append(f"{gen:<12}{len(rows):>10}{sweeps:>12}{converged:>11}{fallbacks:>17}")
+            sweeps = converged = restarts = fallbacks = "-"
+        lines.append(f"{gen:<12}{len(rows):>10}{sweeps:>12}{converged:>11}{restarts:>10}"
+                     f"{fallbacks:>17}")
     return lines

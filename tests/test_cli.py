@@ -337,8 +337,9 @@ class TestMorphCommand:
         xs = [read_field(p).centroid()[0] for p in files]
         assert xs[0] > xs[1] > xs[2]  # weight on A grows, centroid walks B -> A
         report = (out / "morph_reports.csv").read_text().splitlines()
-        assert report[0] == "weight,file,iterations,residual,converged"
+        assert report[0] == "weight,file,iterations,residual,converged,restarts"
         assert len(report) == 4
+        assert all(int(row.split(",")[5]) >= 0 for row in report[1:])
 
     def test_forced_shorter_morph_leaves_no_earlier_morph_files(self, tmp_path):
         pa, pb = self.write_blobs(tmp_path)
@@ -431,7 +432,7 @@ class TestReportCommand:
         if not head:
             return None
         assert lines[head[0]].split() == [
-            "generation", "children", "sweeps_p50", "converged", "linear_fallback"
+            "generation", "children", "sweeps_p50", "converged", "restarts", "linear_fallback"
         ]
         return [line.split() for line in lines[head[0] + 1:]]
 
@@ -444,8 +445,17 @@ class TestReportCommand:
         assert self.crossover_rows(run) == [[
             "1", "4", f"{np.median([int(r['sweeps']) for r in offspring]):g}",
             str(sum(int(r["converged"]) for r in offspring)),
+            str(sum(int(r["restarts"]) for r in offspring)),
             str(sum(int(r["linear_fallback"]) for r in offspring)),
         ]]
+        # a run directory from before offspring.csv had restarts still reports
+        rows = [line.split(",") for line in (run / "offspring.csv").read_text().splitlines()]
+        restarts = rows[0].index("restarts")
+        (run / "offspring.csv").write_text(
+            "".join(",".join(r[:restarts] + r[restarts + 1:]) + "\n" for r in rows)
+        )
+        assert main(["report", str(run)]) == 0
+        assert [row[4] for row in self.crossover_rows(run)] == ["-"]
         # a run directory from before offspring.csv still reports
         (run / "offspring.csv").unlink()
         assert main(["report", str(run)]) == 0
@@ -455,7 +465,7 @@ class TestReportCommand:
     def test_crossover_table_linear_operator(self, tiny_cfg, tmp_path):
         run = self.make_run(tiny_cfg, tmp_path, operator="linear")
         assert main(["report", str(run)]) == 0
-        assert self.crossover_rows(run) == [["1", "4", "-", "-", "-"]]
+        assert self.crossover_rows(run) == [["1", "4", "-", "-", "-", "-"]]
 
     def test_artifacts_emitted(self, tiny_cfg, tmp_path):
         run = self.make_run(tiny_cfg, tmp_path)

@@ -428,7 +428,7 @@ class TestEvolveLoop:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == [
             "generation", "candidate_id", "parent_a", "parent_b", "lambda", "epsilon",
-            "sweeps", "residual", "converged", "linear_fallback",
+            "sweeps", "residual", "converged", "restarts", "linear_fallback",
         ]
         assert [int(r["generation"]) for r in rows] == [1] * 8 + [2] * 8
         with (one / "evals.csv").open() as fh:
@@ -447,6 +447,7 @@ class TestEvolveLoop:
             assert 1 <= int(r["sweeps"]) <= 300
             assert r["converged"] == "1" or r["sweeps"] == "300"
             assert np.isfinite(float(r["residual"]))
+            assert int(r["restarts"]) >= 0
             assert r["linear_fallback"] == "0"
 
     def test_offspring_csv_linear_operator(self, tmp_path):
@@ -455,9 +456,13 @@ class TestEvolveLoop:
         rows = (run / "offspring.csv").read_text().splitlines()[1:]
         assert len(rows) == 8
         for row in rows:
-            gen, _cid, _a, _b, lam, eps, sweeps, residual, converged, fallback = row.split(",")
+            gen, _cid, _a, _b, lam, eps, sweeps, residual, converged, restarts, fallback = (
+                row.split(",")
+            )
             assert gen == "1" and 0.0 <= float(lam) <= 1.0
-            assert (eps, sweeps, residual, converged, fallback) == ("", "", "", "", "0")
+            assert (eps, sweeps, residual, converged, restarts, fallback) == (
+                "", "", "", "", "", "0"
+            )
 
     def test_crash_keeps_finished_generations(self, tmp_path):
         full = tmp_path / "full"
