@@ -1,5 +1,9 @@
 """Optimal-transport crossover for evolutionary topology optimization."""
 
+from ._blas import pin_blas_to_one_thread
+
+pin_blas_to_one_thread()
+
 from .crossover import (
     CrossoverConfig,
     DistanceMatrix,

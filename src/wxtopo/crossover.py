@@ -164,9 +164,10 @@ def generate_offspring(
     operator so the offspring count stays exact.
 
     ``record_sink`` receives one OffspringRecord per child. Children are bred
-    on ``workers`` threads. Each child's draws come from its own (seed,
-    stream, index) generator, and children and records are collected in child
-    order, so the result does not depend on ``workers``.
+    by the caller and up to ``workers - 1`` forked processes. Each child's
+    draws come from its own (seed, stream, index) generator, and children and
+    records are collected in child order, so the result does not depend on
+    ``workers``.
     """
     if operator not in ("wasserstein", "linear"):
         raise ValueError(f"unknown operator {operator!r}")

@@ -50,6 +50,11 @@ class SingularSystem(WxTopoError):
         super().__init__(message)
         self.cause = cause
 
+    def __reduce__(self):
+        # the default rebuilds from ``args``, which lacks ``cause``; a pool
+        # worker pickles the exceptions it sends back
+        return type(self), (*self.args, self.cause), self.__dict__
+
 
 class EmptySolidSet(WxTopoError):
     """No element passes the solid threshold."""

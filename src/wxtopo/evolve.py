@@ -233,9 +233,10 @@ def evolve_loop(
 ) -> tuple[Population, list[GenerationStats]]:
     """Run the full evolutionary procedure from seeded designs.
 
-    ``evaluator`` maps a DensityField to Objectives and is fanned out over
-    ``workers`` threads with id-ordered results, so runs are reproducible for
-    any worker count. Parents keep their cached objectives; only fresh
+    ``evaluator`` maps a DensityField to Objectives. Each generation's
+    evaluations, then its children, are spread over the caller and up to
+    ``workers - 1`` forked processes (see ``_pool.parallel_map``) and
+    collected in id order, so runs are reproducible for any worker count. Parents keep their cached objectives; only fresh
     offspring are evaluated. When ``run_dir`` is given, history, per-phase
     timings, evaluation and offspring records and per-generation checkpoints
     are written beneath it. ``progress`` receives one line per generation
@@ -257,20 +258,19 @@ def evolve_loop(
     ref = None
     generation = 0
 
-    def timed_eval(member: Member) -> tuple[Member, float]:
+    def timed_eval(fld: DensityField) -> tuple[Objectives, float]:
         t0 = time.perf_counter()
-        objectives = evaluator(member.field)
-        return Member(member.field, objectives, member.born, member.id), (
-            time.perf_counter() - t0
-        )
+        objectives = evaluator(fld)
+        return objectives, time.perf_counter() - t0
 
     while True:
         t0 = time.perf_counter()
-        timed = parallel_map(timed_eval, pending, workers)
-        evaluated = [m for m, _ in timed]
+        timed = parallel_map(timed_eval, [m.field for m in pending], workers)
+        evaluated = [Member(m.field, objectives, m.born, m.id)
+                     for m, (objectives, _) in zip(pending, timed)]
         eval_seconds = time.perf_counter() - t0
         if writer:
-            writer.record_evals(generation, timed)
+            writer.record_evals(generation, [(m, s) for m, (_, s) in zip(evaluated, timed)])
         feasible = [m for m in evaluated if m.objectives.feasible]
 
         t0 = time.perf_counter()

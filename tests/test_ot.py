@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,9 +369,32 @@ class TestAcceleratedSweep:
         rep = self.check_child_near_reference(GridSpec(100, 200, 1.0, 2.0), ratio)
         # the runs at 0.05 and 0.1 restart once; waiting for max |f| <= 0.1
         # after the restart took them 2 212 and 2 639 steps. The run at 0.01
-        # restarts (and took 2 245 steps that way) only when numpy's OpenBLAS
-        # runs one thread; with two it never restarts and takes 2 058.
+        # restarts once and stops after 1 683 steps; numpy's OpenBLAS is held
+        # at one thread (see test_child_does_not_depend_on_blas_threads),
+        # since with two it never restarted and took 2 058
         assert rep.iterations <= (2100 if ratio == 0.01 else 1200)
+
+    def test_child_does_not_depend_on_blas_threads(self):
+        # twenty steps on the paper-grid frame pair at eps / h^2 = 0.01 gave
+        # different children with one and two numpy OpenBLAS threads
+        script = (
+            "import hashlib, sys\n"
+            "from test_ot import frame_pair\n"
+            "from wxtopo import GridSpec, sinkhorn_barycenter\n"
+            "g = GridSpec(100, 200, 1.0, 2.0)\n"
+            "out, _ = sinkhorn_barycenter(frame_pair(g), [0.4, 0.6], 0.01 * g.hx**2, 1e-4,"
+            " max_iter=20)\n"
+            "print(hashlib.sha256(out.masses.tobytes()).hexdigest())\n"
+        )
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(here.parent / "src"), str(here)])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=300, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
     def test_restarted_run_extrapolates_again(self):
         # an early extrapolated step overflows and restarts the run; waiting
