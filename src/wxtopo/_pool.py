@@ -1,4 +1,4 @@
-"""Deterministic worker pools: ordered maps on forked processes or on threads.
+"""Deterministic worker pool: an ordered map over the caller and forked processes.
 
 ``parallel_map`` forks. The caller and its children each claim the next item
 index from a pipe that holds them all, so faster workers take more items, and
@@ -6,10 +6,9 @@ the caller computes its own share. ``fn`` and the items are inherited through
 the fork, so closures work and no function is pickled; each child pickles
 ``(index, ok, result or exception)`` back through a pipe of its own and leaves
 by ``os._exit``. Whatever the caller caches while it computes its share (FEM
-systems, smoothers, discretizations) is inherited by every later fork.
-
-``thread_map`` runs the items on threads; it suits work whose long calls
-release the GIL.
+systems, smoothers, discretizations) is inherited by every later fork. The
+LF sweep, the crossover and the HF evaluation all run on it; the only threads
+are the caller's readers of its children's result pipes.
 """
 
 from __future__ import annotations
@@ -24,22 +23,12 @@ import struct
 import sys
 import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 _INDEX = struct.Struct("<I")
 # every claim is written before any is read; a pipe holds at least PIPE_BUF
 # bytes, since POSIX makes a write of that size to an empty pipe atomic
 _MAX_CLAIMS = select.PIPE_BUF // _INDEX.size
 _PR_SET_PDEATHSIG = 1
-
-
-def thread_map(fn, items, workers: int = 1) -> list:
-    """Map preserving input order on ``workers`` threads; a plain loop for one."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def parallel_map(fn, items, workers: int = 1) -> list:

@@ -48,6 +48,8 @@ def _check_overwrite(paths: list[Path], force: bool):
 
 
 def _load(args) -> RunConfig:
+    if getattr(args, "workers", 1) < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     if args.config:
         cfg = load_config(args.config, preset=args.preset)
     else:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cython_blas, cython_lapack
+from scipy.linalg import cython_blas, cython_lapack, lapack
 
 from .errors import EmptySolidSet, GridMismatch, SingularSystem
 from .grid_field import DensityField, GridSpec
@@ -217,13 +216,6 @@ _MAX_BAND_WORK = 5e9
 
 # Elements per chunk of the scatter build, which bounds its temporaries.
 _BUILD_CHUNK = 4096
-# A multifrontal kernel call releases the GIL from this many flops (factor
-# kernels) or entries touched (extend-add blocks, solve fronts) on; shorter
-# calls hold it, since handing the GIL over costs more than they run. At
-# 200x400 with two threads at once, releasing every call made the factors
-# ~10 % and the solves ~40 % slower.
-_RELEASE_FLOPS = 3e5
-_RELEASE_ENTRIES = 3e4
 
 
 class _ReducedSystem:
@@ -367,7 +359,7 @@ class _Fronts:
     ``solve_steps`` what the solves read of the fronts with k > 0. A child's
     update rows fall on a few runs of consecutive rows of its parent (3-4 on
     the cracked plate), so its extend-add is one dgeadd per pair of runs:
-    ``(child, into_kept, dst, src, rows, cols, ld, geadd)``, where ``child``
+    ``(child, into_kept, dst, src, rows, cols, ld)``, where ``child``
     counts from the front's first child, ``into_kept`` says whether the
     block lands in the front's kept columns or in its own update matrix
     (leading dimension ``ld``), and ``dst`` and ``src`` are byte offsets.
@@ -425,22 +417,15 @@ class _Fronts:
                         # columns (leading dimension k + u) or its update matrix
                         into_kept = pb < kf
                         ld, shift = (int(height[f]), 0) if into_kept else (int(u[f]), kf)
-                        entries = (a1 - a0) * (b1 - b0)
                         blocks.append((c, into_kept, 8 * (pa - shift + (pb - shift) * ld),
                                        8 * (a0 + b0 * uc), ctypes.c_int(a1 - a0),
-                                       ctypes.c_int(b1 - b0), ctypes.c_int(ld),
-                                       _DGEADD[entries >= _RELEASE_ENTRIES]))
+                                       ctypes.c_int(b1 - b0), ctypes.c_int(ld)))
             uf, hf = int(u[f]), int(height[f])
             ints = ctypes.c_int(kf), ctypes.c_int(uf), ctypes.c_int(hf)
-            # kernels release the GIL only when they run long enough to repay it
-            flops = kf**3 / 3 + uf * kf * kf + uf * uf * kf
-            kernels = [kernel[flops >= _RELEASE_FLOPS] for kernel in (_DPOTRF, _DTRSM, _DSYRK)]
             steps.append((int(start[f]), kf, uf, hf, int(offset[f]), len(children), blocks,
-                          *ints, *kernels))
+                          *ints))
             if kf:
-                release = hf * kf >= _RELEASE_ENTRIES
-                solve_steps.append((int(start[f]), kf, uf, int(offset[f]), *ints, rows[f],
-                                    _DTRSV[release], _DGEMV[release]))
+                solve_steps.append((int(start[f]), kf, uf, int(offset[f]), *ints, rows[f]))
         self.steps, self.solve_steps = steps, solve_steps
 
         # every lower-triangle entry's place in its front's kept columns,
@@ -491,28 +476,19 @@ _CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
 
 
 def _native(table, name: str, *argtypes):
-    """Routine ``name`` of scipy's Cython BLAS or LAPACK ``table`` as two ctypes calls.
+    """Routine ``name`` of scipy's Cython BLAS or LAPACK ``table`` as a ctypes call.
 
-    The first holds the GIL, the second releases it. scipy.linalg's f2py
-    wrappers hold the GIL for the length of a call, which stalls every other
-    pool thread through a long factor. A short call is better made holding
-    it: a thread that has released the GIL waits for it on return, up to the
-    interpreter's switch interval when another thread runs Python code.
+    The multifrontal factor calls its kernels on raw addresses inside one
+    buffer, which scipy.linalg's f2py wrappers, taking whole arrays, cannot.
     """
     capsule = table.__pyx_capi__[name]
     pointer = _CAPSULE_POINTER(capsule, _CAPSULE_NAME(capsule))
-    return (ctypes.PYFUNCTYPE(None, *argtypes)(pointer),
-            ctypes.CFUNCTYPE(None, *argtypes)(pointer))
+    return ctypes.PYFUNCTYPE(None, *argtypes)(pointer)
 
 
 _INT = ctypes.POINTER(ctypes.c_int)
 _DOUBLE = ctypes.POINTER(ctypes.c_double)
 _CHAR, _PTR = ctypes.c_char_p, ctypes.c_void_p
-# dpbtrf(uplo, n, kd, ab, ldab, info)
-_DPBTRF = _native(cython_lapack, "dpbtrf", _CHAR, _INT, _INT, _PTR, _INT, _INT)[1]
-# dpbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info)
-_DPBTRS = _native(cython_lapack, "dpbtrs", _CHAR, _INT, _INT, _INT, _PTR, _INT, _PTR, _INT,
-                  _INT)[1]
 # dpotrf(uplo, n, a, lda, info)
 _DPOTRF = _native(cython_lapack, "dpotrf", _CHAR, _INT, _PTR, _INT, _INT)
 # dtrsm(side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb)
@@ -535,12 +511,12 @@ _UNIT_STRIDE = ctypes.c_int(1)
 def _geadd_by_columns(m, n, alpha, a, lda, beta, c, ldc):
     """dgeadd for beta = 1 as one daxpy per column, on a BLAS that lacks dgeadd."""
     for j in range(n.value):
-        _DAXPY[0](m, alpha, a + 8 * j * lda.value, _UNIT_STRIDE, c + 8 * j * ldc.value,
-                  _UNIT_STRIDE)
+        _DAXPY(m, alpha, a + 8 * j * lda.value, _UNIT_STRIDE, c + 8 * j * ldc.value,
+               _UNIT_STRIDE)
 
 
 def _openblas_geadd():
-    """dgeadd(m, n, alpha, a, lda, beta, c, ldc), C = alpha A + beta C, as two ctypes calls.
+    """dgeadd(m, n, alpha, a, lda, beta, c, ldc), C = alpha A + beta C, as a ctypes call.
 
     dgeadd is an OpenBLAS extension, absent from scipy's Cython tables; it is
     looked up in the libraries the Cython LAPACK module links, under the
@@ -553,48 +529,40 @@ def _openblas_geadd():
         function = getattr(library, symbol, None)
         if function is not None:
             pointer = ctypes.cast(function, ctypes.c_void_p).value
-            return (ctypes.PYFUNCTYPE(None, *argtypes)(pointer),
-                    ctypes.CFUNCTYPE(None, *argtypes)(pointer))
-    return _geadd_by_columns, _geadd_by_columns
+            return ctypes.PYFUNCTYPE(None, *argtypes)(pointer)
+    return _geadd_by_columns
 
 
 _DGEADD = _openblas_geadd()
 
 
-def _check_info(info: ctypes.c_int, routine: str, first: int = 0) -> None:
-    if info.value > 0:
-        raise np.linalg.LinAlgError(
-            f"{first + info.value}-th leading minor not positive definite")
-    if info.value < 0:
-        raise ValueError(f"illegal value in {-info.value}-th argument of {routine}")
+def _check_info(info: int, routine: str, first: int = 0) -> None:
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{first + info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of {routine}")
 
 
 class _BandCholesky:
     """LAPACK banded Cholesky (pbtrf) of a ``_ReducedSystem`` matrix with ``band`` set.
 
-    The factor and each solve release the GIL, so pool threads factor side by
-    side and the other workers' Python code runs meanwhile.
+    ``band`` holds the factor, Fortran-ordered (b + 1, n) in lower band storage.
     """
 
     def __init__(self, system: _ReducedSystem, k_ff: sp.csc_matrix):
-        n, b = system.n, system.band
-        band = np.zeros((n, b + 1))
+        self.n = system.n
+        band = np.zeros((self.n, system.band + 1))
         band.ravel()[system.band_pos] = k_ff.data[system.band_src]
         # the C-ordered (n, b + 1) array is the Fortran-ordered (b + 1, n)
         # lower band pbtrf works in, so the factor overwrites it in place
-        self.n, self.b, self.band = ctypes.c_int(n), ctypes.c_int(b), band
-        self.ldab, self.ldb = ctypes.c_int(b + 1), ctypes.c_int(max(n, 1))
-        info = ctypes.c_int()
-        _DPBTRF(b"L", self.n, self.b, band.ctypes.data, self.ldab, info)
+        self.band, info = lapack.dpbtrf(band.T, lower=1, overwrite_ab=1)
         _check_info(info, "pbtrf")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = np.array(rhs, dtype=np.float64)  # pbtrs overwrites its right-hand side
-        if x.shape != (self.n.value,):
-            raise ValueError(f"right-hand side of shape {x.shape} for {self.n.value} unknowns")
-        info = ctypes.c_int()
-        _DPBTRS(b"L", self.n, self.b, ctypes.c_int(1), self.band.ctypes.data, self.ldab,
-                x.ctypes.data, self.ldb, info)
+        rhs = np.asarray(rhs, dtype=np.float64)
+        if rhs.shape != (self.n,):
+            raise ValueError(f"right-hand side of shape {rhs.shape} for {self.n} unknowns")
+        x, info = lapack.dpbtrs(self.band, rhs, lower=1)  # a copy: rhs is left alone
         _check_info(info, "pbtrs")
         return x
 
@@ -607,9 +575,8 @@ class _Multifrontal:
     diagonal block, dtrsm below it and dsyrk into the front's own update
     matrix. A solve walks the fronts forward with dtrsv and dgemv, then back.
     Every dense kernel is called through scipy's Cython BLAS and LAPACK
-    pointers on its one-thread OpenBLAS; the larger fronts' kernels release
-    the GIL, so pool threads factor side by side. ``nnz`` counts the stored
-    entries, upper triangles of the diagonal blocks included.
+    pointers on its one-thread OpenBLAS. ``nnz`` counts the stored entries,
+    upper triangles of the diagonal blocks included.
     """
 
     def __init__(self, system: _ReducedSystem, k_ff: sp.csc_matrix):
@@ -619,24 +586,24 @@ class _Multifrontal:
         factor[fronts.entry_pos] = k_ff.data[fronts.entry_src]
         base = factor.ctypes.data
         info = ctypes.c_int()
+        potrf, trsm, syrk, geadd = _DPOTRF, _DTRSM, _DSYRK, _DGEADD
         # update matrices (with their addresses and leading dimensions) of the
         # fronts whose parent is still to come
         pending = []
-        for (start, k, u, height, offset, nkids, blocks, ck, cu, ch,
-             potrf, trsm, syrk) in fronts.steps:
+        for start, k, u, height, offset, nkids, blocks, ck, cu, ch in fronts.steps:
             # syrk leaves the upper triangle alone, so it stays zero throughout
             update = np.zeros((u, u), order="F")
             diag, own = base + 8 * offset, update.ctypes.data
             if nkids:
                 kids = pending[-nkids:]
                 del pending[-nkids:]
-                for c, into_kept, dst, src, rows, cols, ld, geadd in blocks:
+                for c, into_kept, dst, src, rows, cols, ld in blocks:
                     _, child, child_ld = kids[c]
                     geadd(rows, cols, _ONE, child + src, child_ld, _ONE,
                           (diag if into_kept else own) + dst, ld)
             if k:
                 potrf(b"L", ck, diag, ch, info)
-                _check_info(info, "potrf", start)
+                _check_info(info.value, "potrf", start)
                 if u:
                     below = diag + 8 * k
                     trsm(b"R", b"L", b"T", b"N", cu, ck, _ONE, diag, ch, below, ch)
@@ -651,13 +618,14 @@ class _Multifrontal:
         work = np.empty(self.fronts.max_update)
         base, px, pw = self.factor.ctypes.data, x.ctypes.data, work.ctypes.data
         one, zero, minus_one, stride = _ONE, _ZERO, _MINUS_ONE, _UNIT_STRIDE
-        for start, k, u, offset, ck, cu, ch, ring, trsv, gemv in steps:  # L y = b
+        trsv, gemv = _DTRSV, _DGEMV
+        for start, k, u, offset, ck, cu, ch, ring in steps:  # L y = b
             diag, own = base + 8 * offset, px + 8 * start
             trsv(b"L", b"N", b"N", ck, diag, ch, own, stride)
             if u:
                 gemv(b"N", cu, ck, one, diag + 8 * k, ch, own, stride, zero, pw, stride)
                 x[ring] -= work[:u]
-        for start, k, u, offset, ck, cu, ch, ring, trsv, gemv in reversed(steps):  # L^T x = y
+        for start, k, u, offset, ck, cu, ch, ring in reversed(steps):  # L^T x = y
             diag, own = base + 8 * offset, px + 8 * start
             if u:
                 work[:u] = x[ring]
@@ -685,18 +653,12 @@ def _reduced_system_cached(
     )
 
 
-_REDUCED_LOCK = threading.Lock()
-
-
 def _reduced_system(model: ElasticModel, constrained: np.ndarray) -> _ReducedSystem:
     """The cached system of ``model``'s grid and unit element matrix and ``constrained``."""
     g, ke_unit = model.grid, _discretization(model).ke_unit
-    # the lock keeps concurrent pool threads from each building the same
-    # entry (~0.6 s and ~100 MB, with ~50 MB more while it builds, at 200x400)
-    with _REDUCED_LOCK:
-        return _reduced_system_cached(
-            g.nx, g.ny, ke_unit.tobytes(), np.asarray(constrained, dtype=np.int64).tobytes()
-        )
+    return _reduced_system_cached(
+        g.nx, g.ny, ke_unit.tobytes(), np.asarray(constrained, dtype=np.int64).tobytes()
+    )
 
 
 # Acceptance bound on the componentwise backward error

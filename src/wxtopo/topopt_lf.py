@@ -17,11 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-# LF runs stay on threads: their banded LAPACK factors release the GIL, so
-# forked runs gain nothing and pay for the copy-on-write faults of the
-# pages they touch (a two-worker desk sweep took a median 0.50 s forked
-# against 0.46 s on threads, 15 alternating rounds, one BLAS thread)
-from ._pool import thread_map as parallel_map
+from ._pool import parallel_map
 from .errors import DualBisectionFailed, GridMismatch
 from .fem2d import BoundaryConditions, ElasticModel, pnorm_objective_grad
 from .grid_field import DensityField, GridSpec
@@ -375,7 +371,9 @@ def seed_sweep(
 
     Settings on which every run would fail raise ValueError up front. A
     failed run is returned as a flagged placeholder rather than aborting the
-    sweep; callers exclude those from the population.
+    sweep; callers exclude those from the population. The runs are shared
+    by the caller and up to ``workers - 1`` forked processes (see
+    ``_pool.parallel_map``), and come back in lattice order.
     """
     check_sweep_settings(model, n_s1, n_s2, p_norm, max_iter, move)
     seeds = seed_grid(n_s1, n_s2)

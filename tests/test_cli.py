@@ -517,3 +517,20 @@ def test_resolved_config_reproduces_run(tiny_cfg, tmp_path):
     assert main(["seed", "--config", str(resolved), "--out", str(seeds2)]) == 0
     for name in ("lf_000.dfld", "lf_001.dfld", "manifest.csv"):
         assert (seeds / name).read_bytes() == (seeds2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", ["seed", "evolve"])
+def test_workers_below_one_exit_2(tiny_cfg, tmp_path, capsys, command, workers):
+    seeds = tmp_path / "seeds"
+    seeds.mkdir()
+    g = GridSpec(12, 24, 1.0, 2.0)
+    for k in range(2):
+        write_field(DensityField(g, np.full(g.n, 0.4 + 0.1 * k)), seeds / f"lf_{k:03d}.dfld")
+    out = tmp_path / "out"
+    extra = ["--seeds", str(seeds)] if command == "evolve" else []
+    assert main(
+        [command, "--config", str(tiny_cfg), "--out", str(out), "--workers", workers, *extra]
+    ) == 2
+    assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()

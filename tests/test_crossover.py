@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -331,19 +329,12 @@ class TestGenerateOffspring:
         else:
             pop, cfg = self.make_pop(rng), self.cfg()
         runs = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often to expose shared state
-        try:
-            for workers in (1, 2, 4):
-                records = []
-                kids = generate_offspring(
-                    pop, 5, cfg, stream=3, workers=workers, record_sink=records
-                )
-                sink = [rep for rec in records for rep in rec.reports]
-                draws = [(r.parents, r.lam, r.epsilon, r.linear_fallback) for r in records]
-                runs.append((kids, sink, draws))
-        finally:
-            sys.setswitchinterval(interval)
+        for workers in (1, 2, 4):
+            records = []
+            kids = generate_offspring(pop, 5, cfg, stream=3, workers=workers, record_sink=records)
+            sink = [rep for rec in records for rep in rec.reports]
+            draws = [(r.parents, r.lam, r.epsilon, r.linear_fallback) for r in records]
+            runs.append((kids, sink, draws))
         base_kids, base_sink, base_draws = runs[0]
         assert len(base_sink) == (10 if constant else 5)
         for kids, sink, draws in runs[1:]:

@@ -3,9 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +23,7 @@ from wxtopo import (
     solve_displacement,
     von_mises,
 )
-from wxtopo import benchmark, fem2d
+from wxtopo import _pool, benchmark, fem2d
 from wxtopo.errors import EmptySolidSet, GridMismatch, SingularSystem
 from wxtopo.fem2d import pnorm_objective_grad
 
@@ -350,39 +347,6 @@ class TestNestedDissection:
             assert np.linalg.norm(u[free] - expected) <= 1e-9 * np.linalg.norm(expected)
             assert np.all(u[bc.all_constrained] == 0.0)
 
-    def test_concurrent_callers_build_once(self, monkeypatch):
-        # the system (with its scatter matrix) is built by the first caller
-        # while the others wait
-        fem2d._reduced_system_cached.cache_clear()
-        built = []
-        init = fem2d._ReducedSystem.__init__
-
-        def slow_init(self, *args):
-            built.append(args[:2])
-            time.sleep(0.05)  # widen the window in which a second caller could miss
-            init(self, *args)
-
-        monkeypatch.setattr(fem2d._ReducedSystem, "__init__", slow_init)
-        g = GridSpec(6, 4, 1.0, 1.0)
-        model = ElasticModel(grid=g)
-        bc = patch_bc(g)
-        callers = 4  # more threads than cores
-        start = threading.Barrier(callers, timeout=30)
-
-        def lookup(_):
-            start.wait()
-            return fem2d._reduced_system(model, bc.all_constrained)
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(callers) as pool:
-                systems = list(pool.map(lookup, range(callers), timeout=60))
-        finally:
-            sys.setswitchinterval(switch)
-        assert all(system is systems[0] for system in systems)
-        assert built == [(6, 4)]
-
 
 class TestBandedPath:
     @pytest.mark.parametrize("nx,ny", [(12, 30), (30, 12)])
@@ -403,15 +367,15 @@ class TestBandedPath:
         expected = spla.spsolve(k_ff, bc.loads[free])
         assert np.linalg.norm(solved.u[free] - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    def test_concurrent_solves_match_serial_and_pin_scipy_blas(self, rng):
+    def test_concurrent_solves_match_serial_and_pin_scipy_blas(self, rng, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the pool forks on any host
         g = GridSpec(30, 60, 1.0, 2.0)
         model = ElasticModel(grid=g)
         bc = benchmark.cracked_plate_bc(g)
         fields = [DensityField(g, rng.uniform(0.1, 1.0, g.n)) for _ in range(8)]
         serial = [solve_displacement(model, f, bc) for f in fields]
-        with ThreadPoolExecutor(4) as pool:
-            threaded = list(pool.map(lambda f: solve_displacement(model, f, bc), fields))
-        for a, b in zip(serial, threaded):
+        forked = _pool.parallel_map(lambda f: solve_displacement(model, f, bc), fields, 4)
+        for a, b in zip(serial, forked, strict=True):
             np.testing.assert_array_equal(a, b)
         # a banded factor holds scipy's OpenBLAS at one thread from then on
         get = getattr(ctypes.CDLL(cython_lapack.__file__), "scipy_openblas_get_num_threads", None)
@@ -420,13 +384,11 @@ class TestBandedPath:
 
     def test_factor_does_not_depend_on_blas_threads(self):
         # on this band (b = 165) pbtrf's BLAS-3 updates round differently
-        # when OpenBLAS runs two threads; runs must stay byte-identical, on
-        # a pool thread as on the main thread. numpy's own OpenBLAS, which
-        # the barycenter's GEMMs use, is held at one thread from the import
-        # on too
+        # when OpenBLAS runs two threads; runs must stay byte-identical.
+        # numpy's own OpenBLAS, which the barycenter's GEMMs use, is held at
+        # one thread from the import on too
         script = (
             "import ctypes, hashlib, numpy as np\n"
-            "from concurrent.futures import ThreadPoolExecutor\n"
             "from numpy._core import _multiarray_umath\n"
             "from scipy.linalg import cython_lapack\n"
             "from wxtopo import benchmark, fem2d\n"
@@ -443,8 +405,6 @@ class TestBandedPath:
             " benchmark.cracked_plate_bc(g))\n"
             "    return hashlib.sha256(u.tobytes()).hexdigest()\n"
             "before = numpy_threads()\n"
-            "with ThreadPoolExecutor(1) as pool:\n"
-            "    print(pool.submit(digest).result())\n"
             "print(digest())\n"
             "print(before, numpy_threads())\n"
             "print(threads(cython_lapack, 'scipy_openblas_get_num_threads'))\n"
@@ -455,8 +415,8 @@ class TestBandedPath:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
             out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                  text=True, timeout=300, check=True)
-            pool_digest, main_digest, numpy_counts, scipy_count = out.stdout.split("\n")[:4]
-            digests.update((pool_digest, main_digest))
+            digest, numpy_counts, scipy_count = out.stdout.split("\n")[:3]
+            digests.add(digest)
             before, after = map(int, numpy_counts.split())
             assert after == before and before in (1, -1)  # -1: numpy's BLAS lacks the symbol
             assert int(scipy_count) in (1, -1)
@@ -464,46 +424,20 @@ class TestBandedPath:
 
     @pytest.mark.parametrize("nx,ny", [(50, 100), (100, 200)])
     def test_factor_and_solve_match_scipy_bit_for_bit(self, nx, ny):
-        # the desk LF and HF systems; scipy.linalg's f2py pbtrf and pbtrs
-        # are the oracle for the ctypes calls
+        # the desk LF and HF systems; scipy.linalg's banded Cholesky and
+        # solve are the oracle for the factor's pbtrf and pbtrs calls
         system, k_ff = rough_band_system(nx, ny)
         band = np.zeros((system.n, system.band + 1))
         band.ravel()[system.band_pos] = k_ff.data[system.band_src]
         expected = sla.cholesky_banded(band.T, lower=True, check_finite=False)
         factor = fem2d._BandCholesky(system, k_ff)
-        np.testing.assert_array_equal(factor.band.T, expected)
+        np.testing.assert_array_equal(factor.band, expected)
         rhs = np.random.default_rng(1).standard_normal(system.n)
         kept = rhs.copy()
         np.testing.assert_array_equal(
             factor.solve(rhs), sla.cho_solve_banded((expected, True), rhs, check_finite=False)
         )
         np.testing.assert_array_equal(rhs, kept)
-
-    def test_factor_releases_the_gil(self):
-        # the main thread ticks while another thread factors the 100x200 band
-        # (n = 40 000, b = 205); a factor that held the GIL would stall the
-        # loop for the whole call
-        system, k_ff = rough_band_system(100, 200)
-        fem2d._BandCholesky(system, k_ff)  # pins the BLAS before timing
-        span = []
-
-        def factor():
-            t0 = time.perf_counter()
-            fem2d._BandCholesky(system, k_ff)
-            span.extend([t0, time.perf_counter()])
-
-        worker = threading.Thread(target=factor)
-        ticks = [time.perf_counter()]
-        worker.start()
-        while worker.is_alive():
-            ticks.append(time.perf_counter())
-        worker.join(timeout=60)
-        assert not worker.is_alive() and len(span) == 2
-        t0, t1 = span
-        ticks = np.array(ticks + [time.perf_counter()])
-        inside = ticks[(ticks >= t0) & (ticks <= t1)]
-        gaps = np.diff(np.concatenate([[t0], inside, [t1]]))
-        assert gaps.max() < 0.5 * (t1 - t0)
 
     def test_factor_follows_the_band_work(self):
         # the desk and paper2d LF grids and the desk HF grid factor banded,
@@ -530,69 +464,11 @@ def rough_multifrontal_system(nx, ny, seed=0):
     return system, system.assemble(model, density), bc.loads[system.free]
 
 
-def longest_gil_hold(work):
-    """Longest stall of a ticking main thread while a worker runs ``work``, as its share."""
-    span = []
-
-    def timed():
-        t0 = time.perf_counter()
-        work()
-        span.extend([t0, time.perf_counter()])
-
-    worker = threading.Thread(target=timed)
-    ticks = [time.perf_counter()]
-    worker.start()
-    while worker.is_alive():
-        ticks.append(time.perf_counter())
-    worker.join(timeout=60)
-    assert not worker.is_alive() and len(span) == 2
-    t0, t1 = span
-    ticks = np.array(ticks + [time.perf_counter()])
-    inside = ticks[(ticks >= t0) & (ticks <= t1)]
-    return np.diff(np.concatenate([[t0], inside, [t1]])).max() / (t1 - t0)
-
-
 class TestMultifrontalPath:
-    def test_long_kernel_calls_release_the_gil(self):
-        # the releasing variant of a kernel lets the ticking main thread run
-        # through a 1200 x 1200 dsyrk, the holding one stalls it throughout
-        n = ctypes.c_int(1200)
-        a = np.asfortranarray(np.random.default_rng(0).random((1200, 1200)))
-        c = np.zeros((1200, 1200), order="F")  # on one BLAS thread, pinned at import
-        holds = [
-            longest_gil_hold(lambda: syrk(b"L", b"N", n, n, fem2d._ONE, a.ctypes.data, n,
-                                          fem2d._ZERO, c.ctypes.data, n))
-            for syrk in fem2d._DSYRK
-        ]
-        assert holds[1] < 0.5 < holds[0]
-
-    def test_factor_and_solve_release_the_gil(self, factor_path):
-        # the main thread ticks while another thread factors the 100x200
-        # cracked plate on the dissection tree (n = 40 400), then solves
-        # with it; a factor or solve that held the GIL would stall the loop
-        # for the whole call. The short switch interval hands the GIL back
-        # to the worker as soon as it asks, so only calls that hold it stall
-        factor_path("multifrontal")
-        system, k_ff, f = rough_multifrontal_system(100, 200)
-        factor = fem2d._Multifrontal(system, k_ff)  # pins the BLAS before timing
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            assert longest_gil_hold(lambda: fem2d._Multifrontal(system, k_ff)) < 0.5
-            assert longest_gil_hold(lambda: [factor.solve(f) for _ in range(5)]) < 0.5
-        finally:
-            sys.setswitchinterval(switch)
-        # the kernels of the largest fronts release it; those of the
-        # smallest, whose calls are shorter than a GIL handover, hold it
-        steps = [step for step in system.fronts.steps if step[1]]
-        largest = max(steps, key=lambda step: step[1] * step[3])
-        smallest = min(steps, key=lambda step: step[1] * step[3])
-        assert largest[-3:] == (fem2d._DPOTRF[1], fem2d._DTRSM[1], fem2d._DSYRK[1])
-        assert smallest[-3:] == (fem2d._DPOTRF[0], fem2d._DTRSM[0], fem2d._DSYRK[0])
-
-    def test_concurrent_factors_match_serial_bit_for_bit(self, factor_path):
-        # two threads factor and solve different designs at once; each must
-        # give the bits a serial run gives
+    def test_concurrent_factors_match_serial_bit_for_bit(self, factor_path, monkeypatch):
+        # the caller and a forked child factor and solve different designs
+        # at once; each must give the bits a serial run gives
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the pool forks on any host
         factor_path("multifrontal")
         cases = [rough_multifrontal_system(60, 120, seed) for seed in (1, 2)]
         assert cases[0][0] is cases[1][0]
@@ -605,19 +481,16 @@ class TestMultifrontalPath:
         serial = [run(case) for case in cases]
         assert not cases[0][0].fronts.entry_pos.flags.writeable
         for _ in range(3):
-            with ThreadPoolExecutor(2) as pool:
-                threaded = list(pool.map(run, cases, timeout=60))
-            for (factor_a, u_a), (factor_b, u_b) in zip(serial, threaded):
+            forked = _pool.parallel_map(run, cases, 2)
+            for (factor_a, u_a), (factor_b, u_b) in zip(serial, forked, strict=True):
                 np.testing.assert_array_equal(factor_a, factor_b)
                 np.testing.assert_array_equal(u_a, u_b)
 
     def test_factor_does_not_depend_on_blas_threads(self):
         # the 80x160 cracked plate forced onto the dissection tree gives the
-        # same bits with one or two OpenBLAS threads, on a pool thread as on
-        # the main thread
+        # same bits with one or two OpenBLAS threads
         script = (
             "import hashlib, numpy as np\n"
-            "from concurrent.futures import ThreadPoolExecutor\n"
             "from wxtopo import benchmark, fem2d\n"
             "from wxtopo.grid_field import DensityField, GridSpec\n"
             "fem2d._MAX_BAND_WORK = 0.0\n"
@@ -627,8 +500,6 @@ class TestMultifrontalPath:
             "    u = fem2d.solve_displacement(fem2d.ElasticModel(grid=g), d,"
             " benchmark.cracked_plate_bc(g))\n"
             "    return hashlib.sha256(u.tobytes()).hexdigest()\n"
-            "with ThreadPoolExecutor(1) as pool:\n"
-            "    print(pool.submit(digest).result())\n"
             "print(digest())\n"
         )
         src = str(Path(fem2d.__file__).resolve().parents[1])
@@ -646,12 +517,15 @@ class TestMultifrontalPath:
         factor_path("multifrontal")
         system, k_ff, f = rough_multifrontal_system(30, 60)
         expected = fem2d._Multifrontal(system, k_ff)
-        fem2d._reduced_system_cached.cache_clear()
-        fallback = (fem2d._geadd_by_columns,) * 2
+        calls = []
+
+        def fallback(*args):
+            calls.append(args)
+            fem2d._geadd_by_columns(*args)
+
         monkeypatch.setattr(fem2d, "_DGEADD", fallback)
-        system, k_ff, f = rough_multifrontal_system(30, 60)
-        assert all(block[-1] in fallback for step in system.fronts.steps for block in step[6])
         factor = fem2d._Multifrontal(system, k_ff)
+        assert len(calls) == sum(len(step[6]) for step in system.fronts.steps)
         np.testing.assert_array_equal(factor.factor, expected.factor)
         np.testing.assert_array_equal(factor.solve(f), expected.solve(f))
 
@@ -671,7 +545,7 @@ class TestMultifrontalPath:
         u = factor.solve(f)
         assert np.linalg.norm(u - expected) <= 1e-10 * np.linalg.norm(expected)
         lower = np.zeros_like(dense)
-        for start, k, u_rows, offset, *_ , ring, _, _ in system.fronts.solve_steps:
+        for start, k, u_rows, offset, *_, ring in system.fronts.solve_steps:
             kept = factor.factor[offset:offset + (k + u_rows) * k].reshape(k, k + u_rows).T
             own = np.arange(start, start + k)
             lower[np.ix_(own, own)] = np.tril(kept[:k])

@@ -1,8 +1,10 @@
 import copy
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -424,25 +426,59 @@ class TestSeedSweep:
         # s1-major order
         assert [r.seed.s1 for r in results[:25]] == [0.0] * 25
 
-    def test_parallel_matches_serial(self):
+    @pytest.fixture
+    def shared_runs(self, monkeypatch):
+        """Spread a sweep's runs over forked children on any host; returns the caller's pid.
+
+        Four CPUs are pinned, since the pool forks at most one child fewer,
+        and the caller's runs are slowed so the children claim some. Every
+        run names its process: as ``pid`` on its result, or at the end of
+        its GridMismatch.
+        """
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        caller, optimize = os.getpid(), topopt_lf.lf_optimize
+
+        def tagged(*args):
+            if os.getpid() == caller:
+                time.sleep(0.1)
+            try:
+                res = optimize(*args)
+            except GridMismatch as exc:
+                raise GridMismatch(f"{exc} [pid {os.getpid()}]") from exc
+            res.pid = os.getpid()  # pickled back with the result
+            return res
+
+        monkeypatch.setattr(topopt_lf, "lf_optimize", tagged)
+        return caller
+
+    def test_parallel_matches_serial(self, shared_runs):
         g = GridSpec(8, 16, 1.0, 2.0)
         model = ElasticModel(grid=g)
         bc = benchmark.cracked_plate_bc(g)
         serial = seed_sweep(model, bc, 2, 2, 8.0, max_iter=3, workers=1)
         parallel = seed_sweep(model, bc, 2, 2, 8.0, max_iter=3, workers=4)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.density.values, b.density.values)
+        assert {r.pid for r in serial} == {shared_runs}
+        assert {r.pid for r in parallel} - {shared_runs}
+        for a, b in zip(serial, parallel, strict=True):
+            assert a.seed == b.seed
+            assert a.density.values.tobytes() == b.density.values.tobytes()
+            assert np.array(a.objective_history).tobytes() == np.array(
+                b.objective_history).tobytes()
+            assert (a.iterations, a.non_improving) == (b.iterations, b.non_improving)
 
-    def test_failed_runs_become_placeholders(self):
+    def test_failed_runs_become_placeholders(self, shared_runs):
         g = GridSpec(8, 16, 1.0, 2.0)
         model = ElasticModel(grid=g)
         bad_bc = benchmark.cracked_plate_bc(GridSpec(6, 12, 1.0, 2.0))
-        results = seed_sweep(model, bad_bc, 2, 2, 8.0, max_iter=2)
+        results = seed_sweep(model, bad_bc, 2, 2, 8.0, max_iter=2, workers=2)
         assert len(results) == 4
         for res in results:
             assert not res.ok
             assert res.density is None
             assert "GridMismatch" in res.error
+        # placeholders made in the forked child came back through its pipe
+        pids = {int(re.search(r"\[pid (\d+)\]$", res.error).group(1)) for res in results}
+        assert pids - {shared_runs}
 
 
 def test_lf_and_hf_paths_leave_scipy_optimize_unimported():
