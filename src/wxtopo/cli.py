@@ -16,10 +16,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import benchmark
-from .config import PRESETS, RunConfig, check_config, dump_config, load_config
+from .config import PRESETS, RunConfig, check_config, dump_config, load_config, parse_config_text
 from .crossover import wasserstein_crossover
 from .errors import ConfigError, ExtinctPopulation, GridMismatch, WxTopoError
-from .evolve import _fmt, evolve_loop
+from .evolve import _fmt, evolve_loop, non_dominated_sort
 from .grid_field import read_field, write_field
 from .hf_eval import hf_evaluate
 from .report import render_report
@@ -53,8 +53,6 @@ def _load(args) -> RunConfig:
     if args.config:
         cfg = load_config(args.config, preset=args.preset)
     else:
-        from .config import parse_config_text
-
         cfg = parse_config_text("", preset=args.preset)
     if getattr(args, "seed_rng", None) is not None:
         cfg = check_config(replace(cfg, rng_seed=args.seed_rng), "--seed-rng")
@@ -148,8 +146,6 @@ def cmd_evolve(args) -> int:
     )
     front_dir = out / "pareto"
     front_dir.mkdir(exist_ok=True)
-    from .evolve import non_dominated_sort
-
     ranks = non_dominated_sort([m.objectives.j for m in population.members])
     with (front_dir / "objectives.csv").open("w") as fh:
         fh.write("candidate_id,J1,J2\n")

@@ -10,13 +10,12 @@ objective differentiable down to void.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cython_blas, cython_lapack, lapack
+from scipy.linalg import blas, lapack
 
 from .errors import EmptySolidSet, GridMismatch, SingularSystem
 from .grid_field import DensityField, GridSpec
@@ -350,19 +349,20 @@ class _Fronts:
     free unknowns of the one-node ring around its box, all numbered later
     and in ascending order: Q4 coupling fills nothing beyond that ring, and each
     child's ring lies inside its parent's line and ring. The factor keeps
-    each front's first k columns, (k + u) x k in Fortran order at an offset
-    of one buffer of ``size`` entries: the diagonal block (lower triangle)
-    over the u x k block below it. The lower-triangle CSC entries
+    each front's first k columns at an offset of one buffer of ``size``
+    entries: the k x k diagonal block (lower triangle), then the u x k block
+    below it, both in Fortran order. The lower-triangle CSC entries
     ``entry_src`` of the matrix land at ``entry_pos`` of that buffer.
 
-    ``steps`` holds, front by front in post-order, what the factor reads, and
-    ``solve_steps`` what the solves read of the fronts with k > 0. A child's
-    update rows fall on a few runs of consecutive rows of its parent (3-4 on
-    the cracked plate), so its extend-add is one dgeadd per pair of runs:
-    ``(child, into_kept, dst, src, rows, cols, ld)``, where ``child``
-    counts from the front's first child, ``into_kept`` says whether the
-    block lands in the front's kept columns or in its own update matrix
-    (leading dimension ``ld``), and ``dst`` and ``src`` are byte offsets.
+    ``steps`` holds, front by front in post-order, what the factor and the
+    solves read: ``(start, k, u, offset, children, blocks, ring)``, with
+    ``ring`` the front's update rows. A child's update rows fall on a few
+    runs of consecutive rows of its parent (3-4 on the cracked plate), cut
+    at the parent's k, so its extend-add is one slice add per pair of runs:
+    ``(child, target, rows, cols, child_rows, child_cols)``, where ``child``
+    counts from the front's first child, ``target`` is 0, 1 or 2 for the
+    front's diagonal block, the block below it or its own update matrix, and
+    the four slices pick the block there and in the child's update matrix.
     """
 
     def __init__(self, nx: int, ny: int, nodes: np.ndarray, tree: list, unknown: np.ndarray,
@@ -404,29 +404,24 @@ class _Fronts:
         runs = list(zip((lo - ring_base[run_owner]).tolist(), (hi - ring_base[run_owner]).tolist(),
                         pos[lo].tolist()))
 
-        steps, solve_steps = [], []
+        steps = []
         for f, (_, _, children) in enumerate(tree):
             kf = int(k[f])
             blocks = []
             for c, child in enumerate(children):
                 child_runs = runs[first_run[child]:first_run[child + 1]]
-                uc = int(u[child])
                 for a, (a0, a1, pa) in enumerate(child_runs):
                     for b0, b1, pb in child_runs[:a + 1]:
-                        # rows pa.. and columns pb.. of the front: its kept
-                        # columns (leading dimension k + u) or its update matrix
-                        into_kept = pb < kf
-                        ld, shift = (int(height[f]), 0) if into_kept else (int(u[f]), kf)
-                        blocks.append((c, into_kept, 8 * (pa - shift + (pb - shift) * ld),
-                                       8 * (a0 + b0 * uc), ctypes.c_int(a1 - a0),
-                                       ctypes.c_int(b1 - b0), ctypes.c_int(ld)))
-            uf, hf = int(u[f]), int(height[f])
-            ints = ctypes.c_int(kf), ctypes.c_int(uf), ctypes.c_int(hf)
-            steps.append((int(start[f]), kf, uf, hf, int(offset[f]), len(children), blocks,
-                          *ints))
-            if kf:
-                solve_steps.append((int(start[f]), kf, uf, int(offset[f]), *ints, rows[f]))
-        self.steps, self.solve_steps = steps, solve_steps
+                        # rows pa.. and columns pb.. of the front: its
+                        # diagonal block, the block below it or its update
+                        # matrix (target 0, 1 or 2)
+                        target = 0 if pa < kf else 1 if pb < kf else 2
+                        r, s = pa - kf * (target > 0), pb - kf * (target > 1)
+                        blocks.append((c, target, slice(r, r + a1 - a0), slice(s, s + b1 - b0),
+                                       slice(a0, a1), slice(b0, b1)))
+            steps.append((int(start[f]), kf, int(u[f]), int(offset[f]), len(children), blocks,
+                          rows[f]))
+        self.steps = steps
 
         # every lower-triangle entry's place in its front's kept columns,
         # in chunks of entries to bound the temporaries
@@ -444,7 +439,10 @@ class _Fronts:
             fr = f[ring_rows]
             local[ring_rows] = (k[fr] - ring_base[fr]
                                 + np.searchsorted(ring_keys, fr * n + i[ring_rows]))
-            self.entry_pos[c:c + lower.size] = offset[f] + (j - start[f]) * height[f] + local
+            # rows below the diagonal block follow it, u x k in Fortran order
+            place = np.where(local < k[f], (j - start[f]) * k[f] + local,
+                             k[f] * k[f] + (j - start[f]) * u[f] + local - k[f])
+            self.entry_pos[c:c + lower.size] = offset[f] + place
         # shared by every factor of the cached system
         for arr in (self.entry_src, self.entry_pos, *rows):
             arr.flags.writeable = False
@@ -465,75 +463,6 @@ def _rings(boxes: np.ndarray, nnx: int, nny: int):
     side = np.repeat(np.arange(count.size), count)
     along = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     return side // 4, first.ravel()[side] + np.tile(step, boxes.shape[0])[side] * along
-
-
-_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi)
-)
-_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
-
-
-def _native(table, name: str, *argtypes):
-    """Routine ``name`` of scipy's Cython BLAS or LAPACK ``table`` as a ctypes call.
-
-    The multifrontal factor calls its kernels on raw addresses inside one
-    buffer, which scipy.linalg's f2py wrappers, taking whole arrays, cannot.
-    """
-    capsule = table.__pyx_capi__[name]
-    pointer = _CAPSULE_POINTER(capsule, _CAPSULE_NAME(capsule))
-    return ctypes.PYFUNCTYPE(None, *argtypes)(pointer)
-
-
-_INT = ctypes.POINTER(ctypes.c_int)
-_DOUBLE = ctypes.POINTER(ctypes.c_double)
-_CHAR, _PTR = ctypes.c_char_p, ctypes.c_void_p
-# dpotrf(uplo, n, a, lda, info)
-_DPOTRF = _native(cython_lapack, "dpotrf", _CHAR, _INT, _PTR, _INT, _INT)
-# dtrsm(side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb)
-_DTRSM = _native(cython_blas, "dtrsm", _CHAR, _CHAR, _CHAR, _CHAR, _INT, _INT, _DOUBLE,
-                 _PTR, _INT, _PTR, _INT)
-# dsyrk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc)
-_DSYRK = _native(cython_blas, "dsyrk", _CHAR, _CHAR, _INT, _INT, _DOUBLE, _PTR, _INT, _DOUBLE,
-                 _PTR, _INT)
-# dtrsv(uplo, trans, diag, n, a, lda, x, incx)
-_DTRSV = _native(cython_blas, "dtrsv", _CHAR, _CHAR, _CHAR, _INT, _PTR, _INT, _PTR, _INT)
-# dgemv(trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
-_DGEMV = _native(cython_blas, "dgemv", _CHAR, _INT, _INT, _DOUBLE, _PTR, _INT, _PTR, _INT,
-                 _DOUBLE, _PTR, _INT)
-# daxpy(n, alpha, x, incx, y, incy)
-_DAXPY = _native(cython_blas, "daxpy", _INT, _DOUBLE, _PTR, _INT, _PTR, _INT)
-_ONE, _ZERO, _MINUS_ONE = ctypes.c_double(1.0), ctypes.c_double(0.0), ctypes.c_double(-1.0)
-_UNIT_STRIDE = ctypes.c_int(1)
-
-
-def _geadd_by_columns(m, n, alpha, a, lda, beta, c, ldc):
-    """dgeadd for beta = 1 as one daxpy per column, on a BLAS that lacks dgeadd."""
-    for j in range(n.value):
-        _DAXPY(m, alpha, a + 8 * j * lda.value, _UNIT_STRIDE, c + 8 * j * ldc.value,
-               _UNIT_STRIDE)
-
-
-def _openblas_geadd():
-    """dgeadd(m, n, alpha, a, lda, beta, c, ldc), C = alpha A + beta C, as a ctypes call.
-
-    dgeadd is an OpenBLAS extension, absent from scipy's Cython tables; it is
-    looked up in the libraries the Cython LAPACK module links, under the
-    prefix of scipy's own OpenBLAS build or none. Elsewhere the columns are
-    added by daxpy, with the same sums.
-    """
-    library = ctypes.CDLL(cython_lapack.__file__)
-    argtypes = (_INT, _INT, _DOUBLE, _PTR, _INT, _DOUBLE, _PTR, _INT)
-    for symbol in ("scipy_dgeadd_", "dgeadd_"):
-        function = getattr(library, symbol, None)
-        if function is not None:
-            pointer = ctypes.cast(function, ctypes.c_void_p).value
-            return ctypes.PYFUNCTYPE(None, *argtypes)(pointer)
-    return _geadd_by_columns
-
-
-_DGEADD = _openblas_geadd()
 
 
 def _check_info(info: int, routine: str, first: int = 0) -> None:
@@ -574,9 +503,11 @@ class _Multifrontal:
     matrix, extend-add its children's update matrices, then dpotrf on the
     diagonal block, dtrsm below it and dsyrk into the front's own update
     matrix. A solve walks the fronts forward with dtrsv and dgemv, then back.
-    Every dense kernel is called through scipy's Cython BLAS and LAPACK
-    pointers on its one-thread OpenBLAS. ``nnz`` counts the stored entries,
-    upper triangles of the diagonal blocks included.
+    Every kernel goes through scipy.linalg's BLAS and LAPACK wrappers on
+    Fortran-ordered views of ``factor``, in place. ``solve_steps`` keeps, for
+    each front with k > 0, its own unknowns, its update rows and the views of
+    its diagonal block and the block below it. ``nnz`` counts the stored
+    entries, upper triangles of the diagonal blocks included.
     """
 
     def __init__(self, system: _ReducedSystem, k_ff: sp.csc_matrix):
@@ -584,53 +515,44 @@ class _Multifrontal:
         self.n, self.nnz = system.n, fronts.size
         factor = self.factor = np.zeros(fronts.size)
         factor[fronts.entry_pos] = k_ff.data[fronts.entry_src]
-        base = factor.ctypes.data
-        info = ctypes.c_int()
-        potrf, trsm, syrk, geadd = _DPOTRF, _DTRSM, _DSYRK, _DGEADD
-        # update matrices (with their addresses and leading dimensions) of the
-        # fronts whose parent is still to come
-        pending = []
-        for start, k, u, height, offset, nkids, blocks, ck, cu, ch in fronts.steps:
+        self.solve_steps = []
+        pending = []  # update matrices of the fronts whose parent is still to come
+        for start, k, u, offset, nkids, blocks, ring in fronts.steps:
+            diag = factor[offset:offset + k * k].reshape(k, k, order="F")
+            below = factor[offset + k * k:offset + (k + u) * k].reshape(u, k, order="F")
             # syrk leaves the upper triangle alone, so it stays zero throughout
             update = np.zeros((u, u), order="F")
-            diag, own = base + 8 * offset, update.ctypes.data
             if nkids:
                 kids = pending[-nkids:]
                 del pending[-nkids:]
-                for c, into_kept, dst, src, rows, cols, ld in blocks:
-                    _, child, child_ld = kids[c]
-                    geadd(rows, cols, _ONE, child + src, child_ld, _ONE,
-                          (diag if into_kept else own) + dst, ld)
+                targets = diag, below, update
+                for child, target, rows, cols, child_rows, child_cols in blocks:
+                    targets[target][rows, cols] += kids[child][child_rows, child_cols]
             if k:
-                potrf(b"L", ck, diag, ch, info)
-                _check_info(info.value, "potrf", start)
+                _, info = lapack.dpotrf(diag, lower=1, clean=0, overwrite_a=1)
+                _check_info(info, "potrf", start)
                 if u:
-                    below = diag + 8 * k
-                    trsm(b"R", b"L", b"T", b"N", cu, ck, _ONE, diag, ch, below, ch)
-                    syrk(b"L", b"N", cu, ck, _MINUS_ONE, below, ch, _ONE, own, cu)
-            pending.append((update, own, cu))
+                    blas.dtrsm(1.0, diag, below, side=1, lower=1, trans_a=1, overwrite_b=1)
+                    blas.dsyrk(-1.0, below, beta=1.0, c=update, lower=1, overwrite_c=1)
+                self.solve_steps.append((slice(start, start + k), ring, diag, below))
+            pending.append(update)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = np.array(rhs, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"right-hand side of shape {x.shape} for {self.n} unknowns")
-        steps = self.fronts.solve_steps
-        work = np.empty(self.fronts.max_update)
-        base, px, pw = self.factor.ctypes.data, x.ctypes.data, work.ctypes.data
-        one, zero, minus_one, stride = _ONE, _ZERO, _MINUS_ONE, _UNIT_STRIDE
-        trsv, gemv = _DTRSV, _DGEMV
-        for start, k, u, offset, ck, cu, ch, ring in steps:  # L y = b
-            diag, own = base + 8 * offset, px + 8 * start
-            trsv(b"L", b"N", b"N", ck, diag, ch, own, stride)
-            if u:
-                gemv(b"N", cu, ck, one, diag + 8 * k, ch, own, stride, zero, pw, stride)
-                x[ring] -= work[:u]
-        for start, k, u, offset, ck, cu, ch, ring in reversed(steps):  # L^T x = y
-            diag, own = base + 8 * offset, px + 8 * start
-            if u:
-                work[:u] = x[ring]
-                gemv(b"T", cu, ck, minus_one, diag + 8 * k, ch, pw, stride, one, own, stride)
-            trsv(b"L", b"T", b"N", ck, diag, ch, own, stride)
+        work = np.zeros(self.fronts.max_update)
+        trsv, gemv = blas.dtrsv, blas.dgemv
+        for own, ring, diag, below in self.solve_steps:  # L y = b
+            y = x[own]
+            trsv(diag, y, lower=1, overwrite_x=1)
+            if ring.size:
+                x[ring] -= gemv(1.0, below, y, y=work[:ring.size], overwrite_y=1)
+        for own, ring, diag, below in reversed(self.solve_steps):  # L^T x = y
+            y = x[own]
+            if ring.size:
+                gemv(-1.0, below, x[ring], beta=1.0, y=y, trans=1, overwrite_y=1)
+            trsv(diag, y, lower=1, trans=1, overwrite_x=1)
         return x
 
 

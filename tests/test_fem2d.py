@@ -511,23 +511,19 @@ class TestMultifrontalPath:
             digests.update(out.stdout.split())
         assert len(digests) == 1
 
-    def test_extend_add_without_openblas_geadd_gives_the_same_bits(self, monkeypatch, factor_path):
-        # on a BLAS without OpenBLAS's dgeadd the extend-add runs one daxpy
-        # per column, with the same sums
+    def test_solve_leaves_rhs_alone_and_repeats_bit_for_bit(self, factor_path):
+        # the solves write through views of their own copy of the
+        # right-hand side: the caller's array and the factor stay as they
+        # were, and a second solve with the same factor gives the same bits
         factor_path("multifrontal")
-        system, k_ff, f = rough_multifrontal_system(30, 60)
-        expected = fem2d._Multifrontal(system, k_ff)
-        calls = []
-
-        def fallback(*args):
-            calls.append(args)
-            fem2d._geadd_by_columns(*args)
-
-        monkeypatch.setattr(fem2d, "_DGEADD", fallback)
+        system, k_ff, _ = rough_multifrontal_system(30, 60)
         factor = fem2d._Multifrontal(system, k_ff)
-        assert len(calls) == sum(len(step[6]) for step in system.fronts.steps)
-        np.testing.assert_array_equal(factor.factor, expected.factor)
-        np.testing.assert_array_equal(factor.solve(f), expected.solve(f))
+        rhs = np.random.default_rng(3).standard_normal(system.n)
+        kept, kept_factor = rhs.copy(), factor.factor.copy()
+        first = factor.solve(rhs)
+        np.testing.assert_array_equal(rhs, kept)
+        np.testing.assert_array_equal(factor.solve(rhs), first)
+        np.testing.assert_array_equal(factor.factor, kept_factor)
 
     def test_solve_matches_dense_cholesky(self, factor_path):
         # the factor's lower triangle, scattered back to the matrix's
@@ -544,12 +540,16 @@ class TestMultifrontalPath:
         expected = np.linalg.solve(dense, f)
         u = factor.solve(f)
         assert np.linalg.norm(u - expected) <= 1e-10 * np.linalg.norm(expected)
+        # each front's k x k diagonal block, then its u x k block below, in
+        # Fortran order: read from the buffer, so a kernel that worked on a
+        # copy of its operand leaves the matrix's entries here
         lower = np.zeros_like(dense)
-        for start, k, u_rows, offset, *_, ring in system.fronts.solve_steps:
-            kept = factor.factor[offset:offset + (k + u_rows) * k].reshape(k, k + u_rows).T
+        for start, k, u_rows, offset, _, _, ring in system.fronts.steps:
+            diag = factor.factor[offset:offset + k * k].reshape(k, k, order="F")
+            below = factor.factor[offset + k * k:offset + (k + u_rows) * k]
             own = np.arange(start, start + k)
-            lower[np.ix_(own, own)] = np.tril(kept[:k])
-            lower[np.ix_(ring, own)] = kept[k:]
+            lower[np.ix_(own, own)] = np.tril(diag)
+            lower[np.ix_(ring, own)] = below.reshape(u_rows, k, order="F")
         chol = np.linalg.cholesky(dense)
         assert np.abs(lower - chol).max() <= 1e-12 * np.abs(chol).max()
 
