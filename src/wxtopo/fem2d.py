@@ -206,12 +206,25 @@ def _short_axis_first(nx: int, ny: int) -> np.ndarray:
 
 
 # The banded Cholesky costs ~n b^2 flops for n free dofs of half-bandwidth b.
-# With two pool workers factoring different rough designs of the cracked
-# plate at once, the band took 22 against 50 ms for the multifrontal factor
-# at 50x100, 159 against 268 ms at 100x200 (1.7e9), 252 against 280 ms at
-# 120x240 (3.5e9), 436 against 375 ms at 140x280 (6.4e9) and 1147 against
-# 911 ms at 180x360 (1.7e10), where the band also stores 382 against 131 MB.
-_MAX_BAND_WORK = 5e9
+# Two pool processes at once, each factoring a different rough design of the
+# cracked plate (40 % random binary, or grey: uniform in 0.05-1) and solving
+# twice, band against multifrontal, medians of 48 alternating rounds (2-vCPU
+# Xeon, one BLAS thread); the last column counts the rounds the multifrontal
+# won:
+#
+#   grid     n b^2    binary (ms)        grey (ms)         multifrontal won
+#   80x160   7.1e8    53 against  84     77 against 115    0 and  0 of 48
+#   90x180   1.1e9    76 against 110    113 against 141    0 and  1
+#   95x190   1.4e9    97 against 105    126 against 138   11 and 15
+#   100x200  1.7e9   132 against 135    158 against 158   24 and 31
+#   110x220  2.5e9   180 against 165    152 against 132   38 and 40
+#
+# Over 12 rounds per grid the band won 119 of 120 from 50x100 to 90x180 (39
+# against 65 ms on binary 50x100) and lost 11-12 of 12 from 120x240 on (409
+# against 320 ms on binary 140x280). The first grid where the multifrontal
+# is no slower, 100x200, takes it; there it stores 5.07M entries against the
+# band's 8.34M (41 against 67 MB).
+_MAX_BAND_WORK = 1.6e9
 
 # Elements per chunk of the scatter build, which bounds its temporaries.
 _BUILD_CHUNK = 4096
@@ -504,10 +517,14 @@ class _Multifrontal:
     diagonal block, dtrsm below it and dsyrk into the front's own update
     matrix. A solve walks the fronts forward with dtrsv and dgemv, then back.
     Every kernel goes through scipy.linalg's BLAS and LAPACK wrappers on
-    Fortran-ordered views of ``factor``, in place. ``solve_steps`` keeps, for
-    each front with k > 0, its own unknowns, its update rows and the views of
-    its diagonal block and the block below it. ``nnz`` counts the stored
-    entries, upper triangles of the diagonal blocks included.
+    Fortran-ordered views of ``factor``, in place, with every argument passed
+    by position: f2py matches keyword arguments by name on each call, which
+    took 0.3-1.2 us a call on a 2-vCPU Xeon, as long as a small front's
+    kernel, and a 100x200 factor makes ~3 000 calls, each solve ~4 000.
+    ``solve_steps`` keeps, for each front with k > 0, its own unknowns, its
+    update rows and the views of its diagonal block and the block below it.
+    ``nnz`` counts the stored entries, upper triangles of the diagonal blocks
+    included.
     """
 
     def __init__(self, system: _ReducedSystem, k_ff: sp.csc_matrix):
@@ -515,6 +532,7 @@ class _Multifrontal:
         self.n, self.nnz = system.n, fronts.size
         factor = self.factor = np.zeros(fronts.size)
         factor[fronts.entry_pos] = k_ff.data[fronts.entry_src]
+        potrf, trsm, syrk = lapack.dpotrf, blas.dtrsm, blas.dsyrk
         self.solve_steps = []
         pending = []  # update matrices of the fronts whose parent is still to come
         for start, k, u, offset, nkids, blocks, ring in fronts.steps:
@@ -529,11 +547,13 @@ class _Multifrontal:
                 for child, target, rows, cols, child_rows, child_cols in blocks:
                     targets[target][rows, cols] += kids[child][child_rows, child_cols]
             if k:
-                _, info = lapack.dpotrf(diag, lower=1, clean=0, overwrite_a=1)
+                _, info = potrf(diag, 1, 0, 1)  # lower, clean=0, overwrite_a
                 _check_info(info, "potrf", start)
                 if u:
-                    blas.dtrsm(1.0, diag, below, side=1, lower=1, trans_a=1, overwrite_b=1)
-                    blas.dsyrk(-1.0, below, beta=1.0, c=update, lower=1, overwrite_c=1)
+                    # side=right, lower, trans_a, diag=non-unit, overwrite_b;
+                    # then beta, c, trans=0, lower, overwrite_c
+                    trsm(1.0, diag, below, 1, 1, 1, 0, 1)
+                    syrk(-1.0, below, 1.0, update, 0, 1, 1)
                 self.solve_steps.append((slice(start, start + k), ring, diag, below))
             pending.append(update)
 
@@ -543,16 +563,18 @@ class _Multifrontal:
             raise ValueError(f"right-hand side of shape {x.shape} for {self.n} unknowns")
         work = np.zeros(self.fronts.max_update)
         trsv, gemv = blas.dtrsv, blas.dgemv
+        # trsv's flags: incx, offx, lower, trans, diag=non-unit, overwrite_x;
+        # gemv's: beta, y, offx, incx, offy, incy, trans, overwrite_y
         for own, ring, diag, below in self.solve_steps:  # L y = b
             y = x[own]
-            trsv(diag, y, lower=1, overwrite_x=1)
+            trsv(diag, y, 1, 0, 1, 0, 0, 1)
             if ring.size:
-                x[ring] -= gemv(1.0, below, y, y=work[:ring.size], overwrite_y=1)
+                x[ring] -= gemv(1.0, below, y, 0.0, work[:ring.size], 0, 1, 0, 1, 0, 1)
         for own, ring, diag, below in reversed(self.solve_steps):  # L^T x = y
             y = x[own]
             if ring.size:
-                gemv(-1.0, below, x[ring], beta=1.0, y=y, trans=1, overwrite_y=1)
-            trsv(diag, y, lower=1, trans=1, overwrite_x=1)
+                gemv(-1.0, below, x[ring], 1.0, y, 0, 1, 0, 1, 1, 1)
+            trsv(diag, y, 1, 0, 1, 1, 0, 1)
         return x
 
 

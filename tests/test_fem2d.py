@@ -17,13 +17,16 @@ from wxtopo import (
     DensityField,
     ElasticModel,
     GridSpec,
+    SeedPoint,
     StressField,
+    hf_evaluate,
+    lf_optimize,
     max_stress,
     pnorm_stress,
     solve_displacement,
     von_mises,
 )
-from wxtopo import _pool, benchmark, fem2d
+from wxtopo import _pool, benchmark, config, fem2d
 from wxtopo.errors import EmptySolidSet, GridMismatch, SingularSystem
 from wxtopo.fem2d import pnorm_objective_grad
 
@@ -423,9 +426,11 @@ class TestBandedPath:
         assert len(digests) == 1
 
     @pytest.mark.parametrize("nx,ny", [(50, 100), (100, 200)])
-    def test_factor_and_solve_match_scipy_bit_for_bit(self, nx, ny):
-        # the desk LF and HF systems; scipy.linalg's banded Cholesky and
-        # solve are the oracle for the factor's pbtrf and pbtrs calls
+    def test_factor_and_solve_match_scipy_bit_for_bit(self, nx, ny, factor_path):
+        # the desk LF system and, forced onto the band, the desk HF system;
+        # scipy.linalg's banded Cholesky and solve are the oracle for the
+        # factor's pbtrf and pbtrs calls
+        factor_path("band")
         system, k_ff = rough_band_system(nx, ny)
         band = np.zeros((system.n, system.band + 1))
         band.ravel()[system.band_pos] = k_ff.data[system.band_src]
@@ -440,14 +445,40 @@ class TestBandedPath:
         np.testing.assert_array_equal(rhs, kept)
 
     def test_factor_follows_the_band_work(self):
-        # the desk and paper2d LF grids and the desk HF grid factor banded,
-        # the paper2d HF grid by the multifrontal Cholesky, in either orientation
-        for nx, ny in [(50, 100), (100, 200), (200, 100), (200, 400), (400, 200)]:
+        # the desk LF grid and 95x190, the largest grid the band factored
+        # faster with two processes at once, factor banded; from 100x200 on
+        # (the desk HF and paper2d LF grid, then the paper2d HF grid) the
+        # multifrontal Cholesky takes over, in either orientation
+        for nx, ny in [(50, 100), (95, 190), (100, 200), (200, 100), (200, 400), (400, 200)]:
             system = fem2d._ReducedSystem(nx, ny, unit_ke(), constrained_dofs(nx, ny, True))
             b = 2 * min(nx, ny) + 5
             assert system.band == (b if system.n * b * b <= fem2d._MAX_BAND_WORK else None)
-            assert (system.band is None) == (max(nx, ny) == 400)
+            assert (system.band is None) == (max(nx, ny) >= 200)
             assert (system.fronts is None) == (system.band is not None)
+
+    def test_the_100x200_path_switch_moves_only_rounding(self, factor_path):
+        # the desk HF grid: a desk design after five LF iterations, smoothed
+        # and binarized onto 100x200; the paper2d LF grid: a grey design's
+        # P-norm stress and adjoint gradient. Both factors agree to rounding
+        desk = config.parse_config_text("", preset="desk")
+        paper = config.parse_config_text("", preset="paper2d")
+        g, hf = desk.grid(), desk.hf()
+        design = lf_optimize(desk.model(), benchmark.cracked_plate_bc(g), SeedPoint(0.5, 0.5),
+                             desk.lf_p_norm, max_iter=5).density
+        hf_bc = benchmark.cracked_plate_bc(hf.refined(g))
+        lf_bc = benchmark.cracked_plate_bc(paper.grid())
+        grey = DensityField(paper.grid(), np.random.default_rng(6).uniform(0.1, 1.0, lf_bc.grid.n))
+        results = {}
+        for path in FACTOR_PATHS:
+            factor_path(path)
+            objectives = hf_evaluate(design, desk.model(), hf_bc, hf)
+            assert objectives.feasible
+            value, grad = pnorm_objective_grad(paper.model(), grey, lf_bc, paper.lf_p_norm)
+            results[path] = objectives.j, value, np.linalg.norm(grad)
+        (j_band, value_band, norm_band), (j_mf, value_mf, norm_mf) = results.values()
+        np.testing.assert_allclose(j_mf, j_band, rtol=1e-10, atol=0)
+        assert value_mf == pytest.approx(value_band, rel=1e-10, abs=0)
+        assert norm_mf == pytest.approx(norm_band, rel=1e-10, abs=0)
 
 
 def rough_multifrontal_system(nx, ny, seed=0):
