@@ -4,24 +4,25 @@
 index from a pipe that holds them all, so faster workers take more items, and
 the caller computes its own share. ``fn`` and the items are inherited through
 the fork, so closures work and no function is pickled; each child pickles
-``(index, ok, result or exception)`` back through a pipe of its own and leaves
-by ``os._exit``. Whatever the caller caches while it computes its share (FEM
-systems, smoothers, discretizations) is inherited by every later fork. The
-LF sweep, the crossover and the HF evaluation all run on it; the only threads
-are the caller's readers of its children's result pipes.
+``(index, ok, result or exception)`` into a temporary file of its own and
+leaves by ``os._exit``. A file never fills, so no child waits on the caller,
+who reads the files once every child is reaped. Whatever the caller caches
+while it computes its share (FEM systems, smoothers, discretizations) is
+inherited by every later fork. The LF sweep, the crossover and the HF
+evaluation all run on it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
-import io
 import os
 import pickle
 import select
 import signal
 import struct
 import sys
-import threading
+import tempfile
 import traceback
 
 _INDEX = struct.Struct("<I")
@@ -60,47 +61,32 @@ def parallel_map(fn, items, workers: int = 1) -> list:
             yield from range(start, min(start + step, len(items)))
 
     outcomes: dict[int, tuple[bool, object]] = {}
-    children: dict[int, tuple[int, list[bytes]]] = {}  # pid -> (its pipe, what it sent)
-    readers = []
+    children = {}  # pid -> the file it writes its outcomes to
     done = False
-    try:
-        for stream in (sys.stdout, sys.stderr):
-            stream.flush()  # or a child would write the caller's buffered output again
-        parent = os.getpid()
-        for _ in range(n_children):
-            results_r, results_w = os.pipe()
-            try:
+    with contextlib.ExitStack() as files:
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                stream.flush()  # or a child would write the caller's buffered output again
+            parent = os.getpid()
+            for _ in range(n_children):
+                out = files.enter_context(tempfile.TemporaryFile())
                 pid = os.fork()
-            except OSError:
-                os.close(results_r)
-                os.close(results_w)
-                raise
-            if pid == 0:
-                _child(fn, items, claims(), parent, results_r, results_w)
-            os.close(results_w)
-            children[pid] = (results_r, [])
-        # a child blocks once its pipe is full, so the pipes are read while
-        # the caller works; the threads start after the last fork
-        for fd, sent in children.values():
-            readers.append(threading.Thread(target=_drain, args=(fd, sent)))
-            readers[-1].start()
-        _work(fn, items, claims(), lambda i, ok, value: outcomes.__setitem__(i, (ok, value)))
-        done = True
-    finally:
-        os.close(claims_r)
-        if not done:
-            for pid in children:
-                os.kill(pid, signal.SIGKILL)
-        for reader in readers:
-            reader.join()
-        for fd, _ in list(children.values())[len(readers):]:
-            os.close(fd)  # never read: the caller failed before it started reading
-        deaths = [_death(pid, os.waitpid(pid, 0)[1]) for pid in children]
-    deaths = [d for d in deaths if d]
-    if deaths:
-        raise RuntimeError("pool worker " + "; ".join(deaths))
-    for pid, (_, sent) in children.items():
-        outcomes.update(_frames(pid, b"".join(sent)))
+                if pid == 0:
+                    _child(fn, items, claims(), parent, out)
+                children[pid] = out
+            _work(fn, items, claims(), lambda i, ok, value: outcomes.__setitem__(i, (ok, value)))
+            done = True
+        finally:
+            os.close(claims_r)
+            if not done:
+                for pid in children:
+                    os.kill(pid, signal.SIGKILL)
+            deaths = [_death(pid, os.waitpid(pid, 0)[1]) for pid in children]
+        deaths = [d for d in deaths if d]
+        if deaths:
+            raise RuntimeError("pool worker " + "; ".join(deaths))
+        for pid, out in children.items():
+            outcomes.update(_frames(pid, out))
     failed = sorted(i for i, (ok, _) in outcomes.items() if not ok)
     if failed:
         raise outcomes[failed[0]][1]
@@ -123,15 +109,13 @@ def _work(fn, items, claims, deliver) -> None:
             return
 
 
-def _child(fn, items, claims, parent: int, results_r: int, results_w: int):
-    """Body of a forked worker: run claimed items, send each outcome, exit without cleanup."""
+def _child(fn, items, claims, parent: int, out):
+    """Body of a forked worker: run claimed items, write each outcome, exit without cleanup."""
     status = 1
     try:
-        os.close(results_r)
         _die_with(parent)
-        with os.fdopen(results_w, "wb") as out:
-            _work(fn, items, claims, lambda i, ok, value: out.write(_frame(i, ok, value)))
-        for stream in (sys.stdout, sys.stderr):
+        _work(fn, items, claims, lambda i, ok, value: out.write(_frame(i, ok, value)))
+        for stream in (out, sys.stdout, sys.stderr):
             stream.flush()
         status = 0
     finally:
@@ -161,16 +145,13 @@ def _frame(index: int, ok: bool, value) -> bytes:
         return pickle.dumps((index, False, error), pickle.HIGHEST_PROTOCOL)
 
 
-def _drain(fd: int, sink: list[bytes]) -> None:
-    with open(fd, "rb") as pipe:
-        sink.append(pipe.read())
-
-
-def _frames(pid: int, data: bytes):
-    stream = io.BytesIO(data)
-    while stream.tell() < len(data):
+def _frames(pid: int, out):
+    out.seek(0)
+    while True:
         try:
-            index, ok, value = pickle.load(stream)
+            index, ok, value = pickle.load(out)
+        except EOFError:
+            return
         except Exception as exc:
             raise RuntimeError(f"pool worker {pid} sent an outcome that cannot be "
                                f"unpickled: {exc!r}") from exc

@@ -40,9 +40,9 @@ class ElasticModel:
             raise ValueError("need 0 < e_min < e0")
         if not (0 < self.nu < 0.5):
             raise ValueError("Poisson ratio must lie in (0, 0.5)")
-        if self.penal < 1:
+        if not self.penal >= 1:
             raise ValueError("SIMP exponent must be >= 1")
-        if self.thickness <= 0:
+        if not self.thickness > 0:
             raise ValueError("thickness must be positive")
 
     def simp(self, density: np.ndarray) -> np.ndarray:
@@ -693,7 +693,7 @@ def von_mises(model: ElasticModel, density: DensityField, u: np.ndarray) -> Stre
 
 def pnorm_stress(sf: StressField, p_norm: float) -> float:
     """(sum_e sigma_e^P)^(1/P), computed in scaled form for stability."""
-    if p_norm < 1:
+    if not p_norm >= 1:
         raise ValueError("p_norm must be >= 1")
     peak = float(sf.sigma_vm.max())
     if peak == 0.0:
@@ -732,7 +732,7 @@ def pnorm_objective_grad(
     The combined exponent qP-1 is evaluated directly so void elements
     (d = 0) contribute zero instead of 0 * inf.
     """
-    if model.q_rel * p_norm <= 1.0:
+    if not model.q_rel * p_norm > 1.0:
         raise ValueError("need q_rel * p_norm > 1 for a bounded void gradient")
     solved = _Solved(model, density, bc)
     disc = solved.disc

@@ -51,7 +51,7 @@ class HfConfig:
     dirichlet_bands: tuple[DirichletBand, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.r_h <= 0:
+        if not self.r_h > 0:
             raise ValueError("r_h must be positive")
         if self.refine_factor < 1:
             raise ValueError("refine_factor must be >= 1")

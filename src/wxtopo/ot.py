@@ -431,7 +431,7 @@ def sinkhorn_barycenter(
     lam = np.asarray(weights, dtype=np.float64)
     if lam.size != len(inputs):
         raise BadWeights(f"{lam.size} weights for {len(inputs)} inputs")
-    if np.any(lam < 0) or abs(lam.sum() - 1.0) > 1e-9:
+    if not (np.all(lam >= 0) and abs(lam.sum() - 1.0) <= 1e-9):
         raise BadWeights("weights must be nonnegative and sum to 1 within 1e-9")
     kern = KernelApplier(grid, epsilon, mode)
 

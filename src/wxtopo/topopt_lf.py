@@ -220,7 +220,7 @@ def mma_update(
     ``_dual_multiplier``). Every variable stays within ``move`` of its current
     value and inside [0, 1].
     """
-    if move <= 0:
+    if not move > 0:
         raise ValueError("move limit must be positive")
     xv = x.values
     g0 = np.asarray(grad_obj, dtype=np.float64).ravel()
@@ -341,11 +341,11 @@ def check_sweep_settings(
         raise ValueError("need at least one division per seed axis (n_s1, n_s2 >= 1)")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if move <= 0:
+    if not move > 0:
         raise ValueError("move limit must be positive")
-    if p_norm < 1:
+    if not p_norm >= 1:
         raise ValueError("p_norm must be >= 1")
-    if model.q_rel * p_norm <= 1.0:
+    if not model.q_rel * p_norm > 1.0:
         raise ValueError("need q_rel * p_norm > 1 for a bounded void gradient")
 
 

@@ -37,6 +37,18 @@ def solid(grid):
     return DensityField(grid, np.ones(grid.n))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda g: ElasticModel(grid=g, penal=math.nan), "SIMP exponent"),
+    (lambda g: ElasticModel(grid=g, thickness=math.nan), "thickness"),
+    (lambda g: pnorm_stress(StressField(g, np.ones(g.n)), math.nan), "p_norm"),
+    (lambda g: pnorm_objective_grad(ElasticModel(grid=g), solid(g), cantilever_bc(g), math.nan),
+     r"q_rel \* p_norm"),
+], ids=["penal", "thickness", "pnorm_stress", "pnorm_objective_grad"])
+def test_nan_settings_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(GridSpec(4, 4, 1.0, 1.0))
+
+
 class TestSolveDisplacement:
     @pytest.mark.parametrize("nx,ny,thickness", [(8, 5, 1.0), (6, 9, 2.0)])
     def test_patch_solution(self, nx, ny, thickness):

@@ -44,6 +44,12 @@ def dense_screened_poisson(grid, values, r_h, bands=()):
     return np.linalg.solve(amat, rhs)
 
 
+@pytest.mark.parametrize("r_h", [0.0, -0.1, float("nan")])
+def test_smoothing_radius_must_be_positive(r_h):
+    with pytest.raises(ValueError, match="r_h must be positive"):
+        HfConfig(r_h=r_h)
+
+
 class TestPdeSmooth:
     def test_constant_unchanged(self):
         g = GridSpec(8, 6, 1.0, 1.0)

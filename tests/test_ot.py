@@ -231,6 +231,13 @@ class TestBarycenter:
         with pytest.raises(ValueError, match="max_iter >= 1"):
             sinkhorn_barycenter([a, b], [0.5, 0.5], 1e-2, 1e-6, max_iter=0)
 
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0], [1.0, np.nan]])
+    def test_nan_weights_rejected(self, weights, rng):
+        g = GridSpec(8, 8, 1.0, 1.0)
+        a, b = random_field(g, rng), random_field(g, rng)
+        with pytest.raises(BadWeights):
+            sinkhorn_barycenter([a, b], weights, 1e-2, 1e-6, max_iter=20)
+
     def test_grid_mismatch(self, rng):
         a = random_field(GridSpec(4, 4, 1, 1), rng)
         b = random_field(GridSpec(4, 4, 2, 2), rng)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import inspect
 import os
 import pickle
@@ -82,6 +83,36 @@ class TestResults:
     def test_claims_cover_more_items_than_the_claim_pipe_holds(self, monkeypatch):
         monkeypatch.setattr(_pool, "_MAX_CLAIMS", 4)
         assert _pool.parallel_map(lambda x: -x, range(23), workers=3) == [-x for x in range(23)]
+        assert_no_children_left()
+
+    def test_caller_runs_its_share_beside_no_thread(self):
+        caller = os.getpid()
+        before = threading.active_count()
+
+        def fn(x):
+            if in_child(caller):
+                time.sleep(0.1)
+                return None
+            return threading.active_count()
+
+        counts = [n for n in _pool.parallel_map(fn, range(6), workers=3) if n is not None]
+        assert counts and set(counts) == {before} == {1}
+        assert_no_children_left()
+
+    def test_outcomes_larger_than_a_pipe_arrive_intact_and_in_order(self):
+        # each child's 4 MB outcome is far more than a pipe holds, and it is
+        # written while the caller is still busy with its own item
+        caller = os.getpid()
+
+        def fn(x):
+            if not in_child(caller):
+                time.sleep(0.5)
+            return in_child(caller), np.arange(500_000, dtype=float) + x
+
+        out = _pool.parallel_map(fn, range(6), workers=3)
+        assert any(child for child, _ in out)
+        for x, (_, values) in enumerate(out):
+            np.testing.assert_array_equal(values, np.arange(500_000, dtype=float) + x)
         assert_no_children_left()
 
 
@@ -201,6 +232,42 @@ def test_children_die_with_a_killed_caller(tmp_path):
     while _alive(child) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not _alive(child)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="reads /proc")
+def test_maps_leave_no_file_open(monkeypatch):
+    caller = os.getpid()
+
+    def fails(x):
+        if x == 2:
+            raise ValueError("item 2")
+        return x
+
+    def killed(x):
+        if in_child(caller):
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.1)
+        return x
+
+    open_before = len(os.listdir("/proc/self/fd"))
+    assert _pool.parallel_map(lambda x: x, range(6), workers=3) == list(range(6))
+    with pytest.raises(ValueError, match="item 2"):
+        _pool.parallel_map(fails, range(6), workers=3)
+    with pytest.raises(RuntimeError, match="killed by signal 9"):
+        _pool.parallel_map(killed, range(6), workers=3)
+    forks = iter([os.fork])  # the second fork fails
+
+    def fork():
+        real = next(forks, None)
+        if real is None:
+            raise OSError(errno.EAGAIN, "fork refused")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(OSError, match="fork refused"):
+        _pool.parallel_map(lambda x: x, range(6), workers=3)
+    assert len(os.listdir("/proc/self/fd")) == open_before
+    assert_no_children_left()
 
 
 def test_every_error_survives_pickling():

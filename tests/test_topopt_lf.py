@@ -52,6 +52,19 @@ def assert_matches_brute_force(grid, radius, rng):
     np.testing.assert_allclose(kern.chain(g), oracle.T @ g, atol=1e-12)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda g: topopt_lf.check_sweep_settings(ElasticModel(grid=g), 2, 2, 8.0, 10, math.nan),
+     "move limit"),
+    (lambda g: topopt_lf.check_sweep_settings(ElasticModel(grid=g), 2, 2, math.nan, 10, 0.1),
+     "p_norm"),
+    (lambda g: mma_update(DensityField(g, np.full(g.n, 0.5)), np.ones(g.n), np.ones(g.n),
+                          -1.0, math.nan, MmaState(g.n)), "move limit"),
+], ids=["sweep_move", "sweep_p_norm", "mma_move"])
+def test_nan_settings_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(GridSpec(3, 3, 1.0, 1.0))
+
+
 class TestDensityFilter:
     def test_subcell_radius_is_identity(self, rng):
         g = GridSpec(6, 6, 1.0, 1.0)
