@@ -132,7 +132,6 @@ class _Discretization:
 
     def __init__(self, model: ElasticModel):
         g = model.grid
-        self.model = model
         d_unit = _d_matrix(model.nu)
         ke = np.zeros((8, 8))
         det = g.hx * g.hy / 4.0
@@ -674,7 +673,7 @@ def solve_displacement(
     return _Solved(model, density, bc).u
 
 
-def _solid_vm(model: ElasticModel, disc: _Discretization, u: np.ndarray):
+def _solid_vm(disc: _Discretization, u: np.ndarray):
     """Centroid stress components and von Mises value at solid modulus."""
     u_e = u[disc.edof]
     sig = u_e @ (disc.d_solid @ disc.b_centroid).T
@@ -686,7 +685,7 @@ def _solid_vm(model: ElasticModel, disc: _Discretization, u: np.ndarray):
 def von_mises(model: ElasticModel, density: DensityField, u: np.ndarray) -> StressField:
     """Relaxed von Mises stress d^q_rel * vm(solid constitutive stress)."""
     disc = _discretization(model)
-    _, vm = _solid_vm(model, disc, u)
+    _, vm = _solid_vm(disc, u)
     relaxed = density.values**model.q_rel * vm
     return StressField(model.grid, relaxed)
 
@@ -737,7 +736,7 @@ def pnorm_objective_grad(
     solved = _Solved(model, density, bc)
     disc = solved.disc
     d = density.values
-    sig, s_vm = _solid_vm(model, disc, solved.u)
+    sig, s_vm = _solid_vm(disc, solved.u)
     sigma = d**model.q_rel * s_vm
     j_val = pnorm_stress(StressField(model.grid, sigma), p_norm)
     if j_val == 0.0:

@@ -30,8 +30,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid needs at least 2 cells per axis, got {self.nx}x{self.ny}")
-        if not (self.lx > 0 and self.ly > 0):
-            raise ValueError("physical extents must be positive")
+        if not (0 < self.lx < np.inf and 0 < self.ly < np.inf):  # NaN fails too
+            raise ValueError("physical extents must be positive and finite")
 
     @property
     def hx(self) -> float:

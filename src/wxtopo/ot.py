@@ -83,16 +83,17 @@ class _AxisFactor:
     """One floored 1D Gaussian factor K, applied along one axis of a (k, ny, nx) stack.
 
     ``side`` is "left" for K @ M (the middle axis) and "right" for M @ K (the
-    last axis). ``blocks`` is empty when the axis stays whole; otherwise it
-    holds (lo, hi, c0, c1, block) for consecutive ranges lo:hi of output
-    entries, where block is the band B = K - c restricted to the input
-    entries c0:c1 that reach them, laid out for ``side``. The product is then
-    the blocks' GEMMs plus c times the sums of M along the axis.
+    last axis). ``blocks`` holds (lo, hi, c0, c1, block) for consecutive
+    ranges lo:hi of output entries, block being laid out for ``side``. An
+    axis that stays whole is one block (0, n, 0, n, K) with ``ones`` None,
+    and its product is the plain GEMM. A split axis holds the band
+    B = K - c, each block restricted to the input entries c0:c1 that reach
+    its outputs, and its product adds c times the sums of M along the axis.
     """
 
     kernel: np.ndarray
     side: str
-    blocks: tuple = ()
+    blocks: tuple
     ones: np.ndarray | None = None
 
     @classmethod
@@ -107,7 +108,7 @@ class _AxisFactor:
         ]
         entries = sum((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in spans)
         if n_blocks < 4 or entries > _MAX_BAND_SHARE * n * n:
-            return cls(kernel, side)
+            return cls(kernel, side, ((0, n, 0, n, kernel),))
         band = kernel - _AXIS_FLOOR  # exactly zero off the band
         # rows lo:hi of K @ M read rows c0:c1 of M; columns lo:hi of M @ K
         # read columns c0:c1 of M. Contiguous blocks keep the GEMMs fast.
@@ -122,17 +123,13 @@ class _AxisFactor:
     def apply(self, mats: np.ndarray, out: np.ndarray) -> None:
         """out = K @ mats (left) or mats @ K (right), over the stack."""
         left = self.side == "left"
-        if not self.blocks:
-            if left:
-                np.matmul(self.kernel, mats, out=out)
-            else:
-                np.matmul(mats, self.kernel, out=out)
-            return
         for lo, hi, c0, c1, b in self.blocks:
             if left:
                 np.matmul(b, mats[:, c0:c1, :], out=out[:, lo:hi, :])
             else:
                 np.matmul(mats[:, :, c0:c1], b, out=out[:, :, lo:hi])
+        if self.ones is None:
+            return
         # c 1 1^T M is c times the column sums of M, broadcast down the rows
         # (M c 1 1^T: the row sums, across the columns)
         if left:
@@ -173,8 +170,6 @@ class KernelApplier:
     grid: GridSpec
     epsilon: float
     mode: str = "convolutional"
-    _kx: np.ndarray = field(init=False, repr=False)
-    _ky: np.ndarray = field(init=False, repr=False)
     _x_axis: _AxisFactor = field(init=False, repr=False)
     _y_axis: _AxisFactor = field(init=False, repr=False)
     _dense: np.ndarray | None = field(init=False, repr=False)
@@ -185,11 +180,11 @@ class KernelApplier:
         if self.mode not in ("dense", "convolutional"):
             raise ValueError(f"unknown kernel mode {self.mode!r}")
         g = self.grid
-        object.__setattr__(self, "_kx", _axis_kernel(g.nx, g.hx, self.epsilon))
-        object.__setattr__(self, "_ky", _axis_kernel(g.ny, g.hy, self.epsilon))
-        object.__setattr__(self, "_x_axis", _AxisFactor.build(self._kx, "right"))
-        object.__setattr__(self, "_y_axis", _AxisFactor.build(self._ky, "left"))
-        dense = np.kron(self._ky, self._kx) if self.mode == "dense" else None
+        kx = _axis_kernel(g.nx, g.hx, self.epsilon)
+        ky = _axis_kernel(g.ny, g.hy, self.epsilon)
+        object.__setattr__(self, "_x_axis", _AxisFactor.build(kx, "right"))
+        object.__setattr__(self, "_y_axis", _AxisFactor.build(ky, "left"))
+        dense = np.kron(ky, kx) if self.mode == "dense" else None
         object.__setattr__(self, "_dense", dense)
 
     def apply(
@@ -222,13 +217,14 @@ class KernelApplier:
     def apply_cost(self, x: np.ndarray) -> np.ndarray:
         """(K * C) @ x, with C the squared-distance cost C = cx + cy."""
         g = self.grid
-        kcx = _axis_sq_dist(g.nx, g.hx) * self._kx
-        kcy = _axis_sq_dist(g.ny, g.hy) * self._ky
+        kx, ky = self._x_axis.kernel, self._y_axis.kernel
+        kcx = _axis_sq_dist(g.nx, g.hx) * kx
+        kcy = _axis_sq_dist(g.ny, g.hy) * ky
         if self._dense is not None:
-            return (np.kron(self._ky, kcx) + np.kron(kcy, self._kx)) @ x
+            return (np.kron(ky, kcx) + np.kron(kcy, kx)) @ x
         mat = x.reshape(g.ny, g.nx)
-        part_x = self._ky @ mat @ kcx
-        part_y = kcy @ mat @ self._kx
+        part_x = ky @ mat @ kcx
+        part_y = kcy @ mat @ kx
         return (part_x + part_y).ravel()
 
 
@@ -448,14 +444,10 @@ def sinkhorn_barycenter(
     u = np.empty_like(a)
     t = np.empty_like(a)
     work = _aligned_empty(a.shape)  # every gap is its dasum
-    step = np.zeros_like(a)  # the extrapolated x; the first x is 0, v = 1
-    x = step
+    x = np.zeros_like(a)  # x = log v, rewritten by every step; the first x is 0
     log_p = np.empty(grid.n)
     p = np.empty(grid.n)
-    # the best iterate's image stays in its ring slot until the slot is
-    # reused (best_slot >= 0) and is saved to best_image then
     best_image = np.zeros_like(a)  # a restart before any finite gap starts over
-    best_slot = -1
     best_p = np.full(grid.n, np.nan)
     best = np.inf
     best_at = 0
@@ -468,9 +460,6 @@ def sinkhorn_barycenter(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for iterations in range(1, max_iter + 1):
             slot = filled % (_WINDOW + 1)
-            if slot == best_slot:
-                np.copyto(best_image, images[slot].reshape(a.shape))
-                best_slot = -1
             g = images[slot].reshape(a.shape)
             np.exp(x, out=v)
             kern.apply(v, out=u, tmp=work)
@@ -484,10 +473,10 @@ def sinkhorn_barycenter(
             work -= p
             gap = dasum(work.reshape(size))
 
-            step_p = p
             if gap < best:
-                best, best_slot, best_at = gap, slot, iterations
-                best_p, p = p, best_p  # the next step writes the other buffer
+                best, best_at = gap, iterations
+                np.copyto(best_image, g)
+                np.copyto(best_p, p)
                 if gap <= tau:
                     converged = True
                     break
@@ -495,37 +484,29 @@ def sinkhorn_barycenter(
                 not gap <= _RESTART_GROWTH * best  # NaN too
                 or iterations - best_at >= _STALL
             ):
-                if best_slot >= 0:
-                    np.copyto(best_image, images[best_slot].reshape(a.shape))
-                x, best_slot, filled = best_image, -1, 0
+                np.copyto(x, best_image)
+                filled = 0
                 plain = _PLAIN_RUN << restarts
                 restarts += 1
                 continue
 
             if plain:
+                # plain steps stay out of the history, which restarts at slot 0
                 plain -= 1
-                if plain:
-                    # a plain step; the next one writes the following slot
-                    x = g
-                    filled += 1
-                else:
-                    # extrapolate again, from a history that starts here
-                    x, filled = step, 0
-                    np.copyto(x, g)
+                np.copyto(x, g)
                 continue
             filled += 1
             count = min(filled, _WINDOW + 1)
             e = resid[slot].reshape(a.shape)
             np.subtract(x, g, out=e)
-            e *= step_p  # cells without mass do not steer the weights
+            e *= p  # cells without mass do not steer the weights
             row = np.matmul(resid[:count], resid[slot])
             gram[slot, :count] = row
             gram[:count, slot] = row
             alpha = _anderson_weights(gram[:count, :count], slot) if count > 1 else None
             if alpha is None:
-                x = g
+                np.copyto(x, g)
             else:
-                x = step
                 np.matmul(alpha, images[:count], out=x.reshape(size))
 
     total = best_p.sum()

@@ -380,6 +380,18 @@ class TestMorphCommand:
              "--out", str(tmp_path / "m")]
         ) == 2
 
+    def test_infinite_extent_exits_2(self, tmp_path, capsys):
+        paths = self.write_blobs(tmp_path)
+        for path in paths:
+            raw = bytearray(path.read_bytes())
+            raw[13:21] = np.array([np.inf]).astype("<f8").tobytes()  # lx
+            path.write_bytes(bytes(raw))
+        assert main(
+            ["morph", *map(str, paths), "--epsilon", "2.0", "--out", str(tmp_path / "m")]
+        ) == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         pa, _ = self.write_blobs(tmp_path)
         missing = tmp_path / "absent.dfld"

@@ -32,7 +32,9 @@ class TestGridSpec:
         assert xs.tolist() == [0.5, 1.5, 0.5, 1.5]
         assert ys.tolist() == [0.5, 0.5, 1.5, 1.5]
 
-    @pytest.mark.parametrize("nx,ny,lx,ly", [(1, 4, 1, 1), (4, 1, 1, 1), (4, 4, 0, 1)])
+    @pytest.mark.parametrize("nx,ny,lx,ly", [
+        (1, 4, 1, 1), (4, 1, 1, 1), (4, 4, 0, 1), (4, 4, np.inf, 1), (4, 4, 1, np.inf),
+    ])
     def test_invalid(self, nx, ny, lx, ly):
         with pytest.raises(ValueError):
             GridSpec(nx, ny, lx, ly)
@@ -138,6 +140,16 @@ class TestFieldFile:
         raw = p.read_bytes()
         p.write_bytes(raw[:-8])  # drop one value
         with pytest.raises(FormatError):
+            read_field(p)
+
+    @pytest.mark.parametrize("offset", [13, 21])  # lx, ly after the magic and nx, ny
+    def test_infinite_extent(self, tmp_path, offset):
+        p = tmp_path / "x.dfld"
+        write_field(DensityField(grid22(), [0.1, 0.2, 0.3, 0.4]), p)
+        raw = bytearray(p.read_bytes())
+        raw[offset : offset + 8] = np.array([np.inf]).astype("<f8").tobytes()
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="finite"):
             read_field(p)
 
     def test_out_of_range_value(self, tmp_path):

@@ -482,7 +482,7 @@ class TestAcceleratedSweep:
 def plain_product(kern, x):
     """Ky @ M @ Kx with the whole floored axis factors, one (ny, nx) slice per row."""
     mats = x.reshape(-1, kern.grid.ny, kern.grid.nx)
-    return np.matmul(np.matmul(kern._ky, mats), kern._kx).reshape(x.shape)
+    return np.matmul(np.matmul(kern._y_axis.kernel, mats), kern._x_axis.kernel).reshape(x.shape)
 
 
 class TestBandedProduct:
@@ -506,7 +506,7 @@ class TestBandedProduct:
         split, whole = kern._y_axis, kern._x_axis
         if long_axis == "x":
             split, whole = whole, split
-        assert bool(split.blocks) == (ratio <= 8.0) and not whole.blocks
+        assert (split.ones is not None) == (ratio <= 8.0) and whole.ones is None
         xs = 10.0 ** rng.uniform(-30.0, 30.0, (3, g.n))
         stacked = kern.apply(xs)
         assert np.max(np.abs(stacked - plain_product(kern, xs)) / stacked) < 1e-13
@@ -545,7 +545,7 @@ class TestBandedProduct:
     def test_unsplit_grids_are_the_plain_product(self, nx, ny, lx, ly, eps, rng):
         g = GridSpec(nx, ny, lx, ly)
         kern = KernelApplier(g, eps)
-        assert not kern._x_axis.blocks and not kern._y_axis.blocks
+        assert kern._x_axis.ones is None and kern._y_axis.ones is None
         xs = rng.random((2, g.n))
         assert np.array_equal(kern.apply(xs), plain_product(kern, xs))
 
@@ -560,7 +560,7 @@ class TestBandedProduct:
         eps = ratio * g.hx**2
         banded, rep = sinkhorn_barycenter(inputs, [0.35, 0.65], eps, 1e-9, max_iter=300)
         monkeypatch.setattr(ot, "_BLOCK_ROWS", 10**9)  # every axis stays whole
-        assert not KernelApplier(g, eps)._y_axis.blocks
+        assert KernelApplier(g, eps)._y_axis.ones is None
         plain, rep_plain = sinkhorn_barycenter(inputs, [0.35, 0.65], eps, 1e-9, max_iter=300)
         assert rep.iterations == rep_plain.iterations == 300
         assert np.max(np.abs(banded.masses - plain.masses) / plain.masses) < 1e-12
